@@ -14,7 +14,7 @@ import difflib
 import re
 from collections import Counter
 
-from repro.core.clustering import hierarchical_cluster
+from repro.core.clustering import Cluster, hierarchical_cluster
 from repro.core.distance import jaccard_distance
 
 _TAG_WITH_ATTRS_RE = re.compile(r"<([a-zA-Z][a-zA-Z0-9]*)\b[^>]*>")
@@ -70,11 +70,8 @@ class DiffProfile:
 
     def combined_multiset(self):
         """Added and removed tags as one multiset with signed markers."""
-        combined = Counter()
-        for name, count in self.added.items():
-            combined["+%s" % name] = count
-        for name, count in self.removed.items():
-            combined["-%s" % name] = count
+        combined = Counter({"+%s" % name: n for name, n in self.added.items()})
+        combined.update({"-%s" % name: n for name, n in self.removed.items()})
         return combined
 
     def __repr__(self):
@@ -122,9 +119,8 @@ def diff_cluster(diff_profiles, threshold=0.5):
     same injected ``<script>``/banner ``<div>`` across different sites)
     end up in one cluster.
     """
-    def distance(profile_a, profile_b):
-        return jaccard_distance(profile_a.combined_multiset(),
-                                profile_b.combined_multiset())
-
-    return hierarchical_cluster(diff_profiles, distance, threshold,
-                                linkage="average")
+    multisets = [profile.combined_multiset() for profile in diff_profiles]
+    clusters, dendrogram = hierarchical_cluster(
+        multisets, jaccard_distance, threshold, linkage="average")
+    return [Cluster(c.indices, [diff_profiles[i] for i in c.indices])
+            for c in clusters], dendrogram

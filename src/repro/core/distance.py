@@ -14,45 +14,49 @@ weight (paper §3.6, coarse-grained clustering).
 def jaccard_distance(multiset_a, multiset_b):
     """Jaccard distance for multisets: 1 - |A ∩ B| / |A ∪ B|.
 
-    Both arguments are ``collections.Counter``; two empty multisets are
-    identical (distance 0).
+    Both arguments are ``collections.Counter`` with positive counts only,
+    so |A ∩ B| sums per-key minima; two empty multisets are identical.
     """
-    if not multiset_a and not multiset_b:
-        return 0.0
-    intersection = sum((multiset_a & multiset_b).values())
-    union = sum((multiset_a | multiset_b).values())
-    if union == 0:
-        return 0.0
-    return 1.0 - intersection / union
+    if len(multiset_a) > len(multiset_b):
+        multiset_a, multiset_b = multiset_b, multiset_a
+    intersection = 0
+    for key, count in multiset_a.items():
+        other = multiset_b.get(key, 0)
+        intersection += count if count < other else other
+    union = sum(multiset_a.values()) + sum(multiset_b.values()) - intersection
+    return 1.0 - intersection / union if union else 0.0
 
 
 def edit_distance(seq_a, seq_b, cap=None):
-    """Levenshtein distance between two sequences (strings or tuples).
+    """Levenshtein distance between two sequences of hashable items.
 
-    ``cap`` optionally truncates inputs for bounded cost.  Uses the
-    classic two-row dynamic program.
+    ``cap`` optionally truncates inputs for bounded cost.  Bit-parallel
+    (Myers 1999; Hyyrö 2001): one int holds a bit per item of the shorter
+    sequence, and each item of the longer one updates the whole DP column.
     """
     if cap is not None:
-        seq_a = seq_a[:cap]
-        seq_b = seq_b[:cap]
+        seq_a, seq_b = seq_a[:cap], seq_b[:cap]
     if seq_a == seq_b:
         return 0
-    if not seq_a:
-        return len(seq_b)
-    if not seq_b:
-        return len(seq_a)
-    if len(seq_a) < len(seq_b):
-        seq_a, seq_b = seq_b, seq_a
-    previous = list(range(len(seq_b) + 1))
-    for i, item_a in enumerate(seq_a, 1):
-        current = [i]
-        for j, item_b in enumerate(seq_b, 1):
-            cost = 0 if item_a == item_b else 1
-            current.append(min(previous[j] + 1,
-                               current[j - 1] + 1,
-                               previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    pattern, text = sorted((seq_a, seq_b), key=len)
+    if not pattern:
+        return len(text)
+    matches = {}
+    for index, item in enumerate(pattern):
+        matches[item] = matches.get(item, 0) | 1 << index
+    last = 1 << (len(pattern) - 1)
+    full = (last << 1) - 1
+    positive, negative, score = full, 0, len(pattern)
+    for item in text:
+        match = matches.get(item, 0) | negative
+        diagonal = (((match & positive) + positive) ^ positive) | match
+        plus = negative | ~(diagonal | positive)
+        minus = positive & diagonal
+        score += 1 if plus & last else -1 if minus & last else 0
+        plus = plus << 1 | 1
+        positive = (minus << 1 | ~(diagonal | plus)) & full
+        negative = plus & diagonal
+    return score
 
 
 def normalized_edit_distance(seq_a, seq_b, cap=None):
@@ -128,7 +132,7 @@ class MemoizedDistance:
     """Memoizing wrapper around a symmetric distance callable.
 
     The page distance is by far the most expensive per-call operation in
-    the pipeline (three edit-distance dynamic programs per pair), and
+    the pipeline (three edit distances per pair), and
     agglomerative clustering asks for the same pairs again across runs
     of the same pipeline (weekly campaigns, ground-truth comparisons).
     Keyed by the identity of the two profile objects — cheap, and exact
