@@ -14,7 +14,9 @@ cursor and resume the tail later.
 
 Only ``commit`` records reference snapshot payloads; :meth:`load`
 fetches those through the same checksummed decoder the owning run uses,
-without ever writing to the directory.
+without ever writing to the directory.  A commit record's world-state
+capture stays opaque bytes here: only the owning run's ``restore``
+decodes it.
 """
 
 import json
@@ -77,6 +79,7 @@ class CheckpointFeed:
         self._journal_path = os.path.join(directory, "journal.wal")
         self._snapshot_dir = os.path.join(directory, "snapshots")
         self.meta = self._read_meta()
+        self.next_seq = 0
 
     def _read_meta(self):
         try:
@@ -101,17 +104,18 @@ class CheckpointFeed:
         return scan_journal(self._journal_path, start=start)
 
     def commits(self, start=0):
-        """Yield ``(seq, key_tuple, record)`` for commit records only."""
+        """Yield ``(seq, key_tuple, record)`` for commit records only.
+
+        One journal read and one decode per record.  Once the pass is
+        exhausted, :attr:`next_seq` is one past the last intact record
+        it read (``start`` if none), so a consumer takes its lag from
+        the same pass instead of re-reading the journal.
+        """
+        self.next_seq = start
         for seq, record in self.records(start=start):
+            self.next_seq = seq + 1
             if isinstance(record, dict) and record.get("kind") == "commit":
                 yield seq, tuple(record["key"]), record
-
-    def record_count(self):
-        """Total intact records currently in the journal (for lag)."""
-        count = 0
-        for count, __ in enumerate(self.records(), 1):
-            pass
-        return count
 
     def load(self, key):
         """Load one committed unit's snapshot payload, read-only.

@@ -15,6 +15,15 @@ that might not exist.  On open, the journal is replayed (torn tails and
 corrupt records quarantined, never fatal) and the surviving commit
 records define which units are already done; anything else reruns.
 
+A commit record is ``{"kind": "commit", "key", "snapshot", "state"}``
+where ``state`` — the world-state capture of
+:func:`repro.checkpoint.state.capture_world_state`, or ``None`` — is
+stored as opaque pickled bytes.  Only :meth:`CheckpointedRun.restore`
+decodes it, so replaying the journal or tailing it through
+:class:`~repro.checkpoint.feed.CheckpointFeed` reads ``kind`` and
+``key`` without unpickling DNS caches and flow counters.  Records
+written with ``state`` inline still restore.
+
 The fault plane hooks in at exactly two places: ``maybe_crash`` fires a
 seed-keyed :class:`~repro.faults.InjectedCrash` at unit boundaries, and
 ``commit`` can be told by a ``torn_write`` draw to die mid-append —
@@ -26,6 +35,7 @@ same deterministic draw forever.
 
 import json
 import os
+import pickle
 
 from repro.checkpoint.journal import Journal
 from repro.checkpoint.store import (
@@ -199,12 +209,17 @@ class CheckpointedRun:
         self._units_restored += 1
         if self.perf is not None:
             self.perf.count("checkpoint_units_restored")
-        return {"payload": payload, "state": record.get("state")}
+        state = record.get("state")
+        if isinstance(state, bytes):
+            state = pickle.loads(state)
+        return {"payload": payload, "state": state}
 
     def commit(self, key, payload, state=None):
         """Durably record one completed unit (snapshot, then journal)."""
         key = tuple(key)
         snapshot_name = self.store.save(key, payload)
+        if state is not None:
+            state = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         record = {"kind": _COMMIT, "key": key, "snapshot": snapshot_name,
                   "state": state}
         plan = self.fault_plan

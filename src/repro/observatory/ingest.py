@@ -122,7 +122,6 @@ def ingest_checkpoint(store, directory, geo=None, perf=None,
     started = time.perf_counter()
     feed_id = feed.identity()
     cursor = store.cursors.get(feed_id, 0)
-    report.lag_records = max(0, feed.record_count() - cursor)
 
     def fold():
         last_seq = cursor - 1
@@ -130,6 +129,7 @@ def ingest_checkpoint(store, directory, geo=None, perf=None,
             last_seq = seq
             report.units_seen += 1
             _fold_unit(store, feed, key, record, geo, report)
+        report.lag_records = feed.next_seq - cursor
         if last_seq >= cursor:
             store.cursors[feed_id] = last_seq + 1
         if store.meta.get("feed_meta") is None and feed.meta:
@@ -147,8 +147,9 @@ def ingest_checkpoint(store, directory, geo=None, perf=None,
 
     if tracer is not None:
         with tracer.span("observatory_ingest", feed=feed_id,
-                         cursor=cursor, lag=report.lag_records):
+                         cursor=cursor) as span:
             fold()
+            span["attrs"]["lag"] = report.lag_records
     else:
         fold()
     report.seconds = time.perf_counter() - started

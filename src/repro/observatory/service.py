@@ -18,6 +18,12 @@ Routes::
 Start with :meth:`ObservatoryServer.start` (background thread; bind to
 port 0 to let the OS pick — the bound address is ``server.address``),
 stop with :meth:`ObservatoryServer.stop`.
+
+Each response that fits the 8 KiB write buffer — every route's answer
+at the scales this repository runs — leaves in one socket write, with
+``TCP_NODELAY`` set.  Sent as two small writes (headers, then body),
+Nagle's algorithm holds the body until the client ACKs the headers,
+and a keep-alive client delays that ACK by ~40 ms on every request.
 """
 
 import json
@@ -29,6 +35,10 @@ from urllib.parse import parse_qs, urlsplit
 class _ObservatoryHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-observatory"
+    # Buffer the headers and body in ``wfile`` (``handle_one_request``
+    # flushes it once after ``do_GET``) and send without Nagle's delay.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     def log_message(self, format, *args):    # noqa: A002 - stdlib name
         pass                                 # tests and CLI want silence
@@ -70,6 +80,9 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
             return 200, record
         if parts == ["rankings", "countries"]:
             top = int(query.get("top", ["10"])[0])
+            if top <= 0:
+                raise ValueError("top must be a positive integer, got %d"
+                                 % top)
             rows, top_share = observatory.country_rankings(top=top)
             return 200, {"rows": rows, "top_share": top_share}
         if parts == ["rankings", "rirs"]:

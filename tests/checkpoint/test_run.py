@@ -6,6 +6,7 @@ import pytest
 
 from repro.checkpoint import CheckpointedRun, CheckpointError
 from repro.faults import FaultPlan, FaultProfile, InjectedCrash
+from tests.conftest import UnpickleCounter
 
 
 def open_run(tmp_path, **kwargs):
@@ -53,6 +54,56 @@ class TestCommitRestore:
         run.close()
         resumed = open_run(tmp_path, resume=True)
         assert resumed.restore(("week", 0)) is None
+
+
+class TestRecordLayout:
+    """Commit records carry world state as opaque pickled bytes."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        monkeypatch.setattr(UnpickleCounter, "loads", 0)
+        return UnpickleCounter
+
+    def test_only_restore_decodes_state(self, tmp_path, counter):
+        run = open_run(tmp_path)
+        run.commit(("week", 0), "payload",
+                   state={"clock": 7.0, "marker": counter()})
+        run.close()
+        resumed = open_run(tmp_path, resume=True)    # replays the journal
+        assert resumed.completed(("week", 0))
+        assert counter.loads == 0
+        state = resumed.restore(("week", 0))["state"]
+        assert counter.loads == 1
+        assert state["clock"] == 7.0
+        assert isinstance(state["marker"], UnpickleCounter)
+
+    def test_in_process_restore_returns_a_decoded_copy(self, tmp_path,
+                                                       counter):
+        run = open_run(tmp_path)
+        state = {"clock": 7.0, "marker": counter()}
+        run.commit(("week", 0), "payload", state=state)
+        restored = run.restore(("week", 0))["state"]
+        assert counter.loads == 1
+        assert restored is not state and restored["clock"] == 7.0
+        state["clock"] = 9.0                  # later mutation not seen
+        assert run.restore(("week", 0))["state"]["clock"] == 7.0
+
+    def test_stateless_commit_restores_none(self, tmp_path):
+        run = open_run(tmp_path)
+        run.commit(("week", 0), "payload")
+        assert run.restore(("week", 0))["state"] is None
+
+    def test_old_layout_with_inline_state_still_restores(self, tmp_path):
+        run = open_run(tmp_path)
+        name = run.store.save(("week", 0), {"result": [1, 2]})
+        run.journal.append({"kind": "commit", "key": ("week", 0),
+                            "snapshot": name,
+                            "state": {"clock": 7.0, "flow_counts": {1: 2}}})
+        run.close()
+        resumed = open_run(tmp_path, resume=True)
+        record = resumed.restore(("week", 0))
+        assert record["payload"] == {"result": [1, 2]}
+        assert record["state"] == {"clock": 7.0, "flow_counts": {1: 2}}
 
 
 class TestMetaValidation:

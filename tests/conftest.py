@@ -43,6 +43,25 @@ class MiniWorld:
         return server
 
 
+class UnpickleCounter:
+    """A picklable marker that counts how often it is unpickled.
+
+    Put one in a checkpoint's committed world state to see which code
+    paths decode that state.  Reset with ``monkeypatch.setattr(
+    UnpickleCounter, "loads", 0)``.
+    """
+
+    loads = 0
+
+    def __reduce__(self):
+        return _revive_counter, ()
+
+
+def _revive_counter():
+    UnpickleCounter.loads += 1
+    return UnpickleCounter()
+
+
 @pytest.fixture
 def mini():
     return MiniWorld()

@@ -1,13 +1,20 @@
 """Ingest: incremental, idempotent, crash-resume indistinguishable."""
 
+import os
+import pickle
+import shutil
+
 import pytest
 
-from repro.checkpoint import CheckpointedRun
+from repro.checkpoint import CheckpointedRun, CheckpointFeed, Journal
+from repro.checkpoint import feed as feed_module
+from repro.checkpoint import scan_journal
 from repro.faults import FaultPlan, FaultProfile, InjectedCrash
 from repro.observatory import ResolverStore, ingest_checkpoint
 from repro.obs import Tracer
 from repro.perf import PerfRegistry
 
+from tests.conftest import UnpickleCounter
 from tests.observatory.conftest import (
     WEEKS,
     FakeGeo,
@@ -98,6 +105,94 @@ class TestIdempotence:
         again = ingest_checkpoint(reopened, str(directory))
         assert not again.changed()
         assert reopened.digest() == store.digest()
+
+
+class TestRecordLayout:
+    """Ingest reads commit records without decoding their world state."""
+
+    def test_folds_every_unit_without_decoding_state(
+            self, campaign_checkpoint, tmp_path, monkeypatch):
+        monkeypatch.setattr(UnpickleCounter, "loads", 0)
+        __, __, campaign = campaign_checkpoint
+        directory = str(tmp_path / "ckpt")
+        checkpoint = CheckpointedRun(directory, meta={"command": "campaign"})
+        for snapshot in campaign.snapshots:
+            checkpoint.commit(("week", snapshot.week), snapshot,
+                              state={"marker": UnpickleCounter()})
+        checkpoint.close()
+        __, report = ingest_fresh(directory, tmp_path)
+        assert report.weeks_folded == list(range(WEEKS))
+        assert UnpickleCounter.loads == 0
+        resumed = CheckpointedRun(directory, resume=True)
+        assert UnpickleCounter.loads == 0
+        resumed.restore(("week", 0))
+        assert UnpickleCounter.loads == 1
+
+    def test_old_layout_journal_restores_and_ingests_identically(
+            self, campaign_checkpoint, tmp_path):
+        directory, __, __ = campaign_checkpoint
+        new_dir = str(tmp_path / "new")
+        old_dir = str(tmp_path / "old")
+        shutil.copytree(str(directory), new_dir)
+        shutil.copytree(str(directory), old_dir)
+        # Rewrite the journal the way earlier versions wrote it: the
+        # world-state capture inline in each commit record.
+        os.remove(os.path.join(old_dir, "journal.wal"))
+        journal = Journal(os.path.join(old_dir, "journal.wal"))
+        keys = []
+        for __, record in scan_journal(os.path.join(new_dir,
+                                                    "journal.wal")):
+            if record["kind"] == "commit":
+                assert isinstance(record["state"], bytes)
+                record = dict(record, state=pickle.loads(record["state"]))
+                keys.append(tuple(record["key"]))
+            journal.append(record)
+        journal.close()
+        assert keys
+        new_run = CheckpointedRun(new_dir, resume=True)
+        old_run = CheckpointedRun(old_dir, resume=True)
+        for key in keys:
+            # Compared as pickles: cached resolution results have no
+            # __eq__.
+            assert pickle.dumps(old_run.restore(key)["state"]) \
+                == pickle.dumps(new_run.restore(key)["state"])
+        new_store, __ = ingest_fresh(new_dir, tmp_path, "new-store",
+                                     geo=FakeGeo())
+        old_store, __ = ingest_fresh(old_dir, tmp_path, "old-store",
+                                     geo=FakeGeo())
+        assert old_store.digest() == new_store.digest()
+
+    def test_one_journal_scan_per_pass_and_lag_unchanged(
+            self, tmp_path, monkeypatch):
+        # A crashed run: its journal ends in a crash record, which the
+        # lag counts although it is not a commit.
+        directory = str(tmp_path / "ckpt")
+        plan = FaultPlan(FaultProfile(crash_points=("week:1",)), seed=3)
+        checkpoint = CheckpointedRun(directory, meta={"weeks": WEEKS},
+                                     fault_plan=plan)
+        with pytest.raises(InjectedCrash):
+            make_campaign(build_world()).run(WEEKS, checkpoint=checkpoint)
+        checkpoint.close()
+        path = os.path.join(directory, "journal.wal")
+        records = [record for __, record in scan_journal(path)]
+        assert records[-1]["kind"] == "crash"
+        total = len(records)
+        feed_id = CheckpointFeed(directory).identity()
+        real_scan = feed_module.scan_journal
+        calls = []
+
+        def counting_scan(*args, **kwargs):
+            calls.append(args)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(feed_module, "scan_journal", counting_scan)
+        for cursor in (0, total // 2, total):
+            del calls[:]
+            store = ResolverStore(str(tmp_path / ("store-%d" % cursor)))
+            store.cursors[feed_id] = cursor
+            report = ingest_checkpoint(store, directory)
+            assert len(calls) == 1
+            assert report.lag_records == total - cursor
 
 
 class TestCrashResumeEquality:
