@@ -68,6 +68,20 @@ def _positive_float(text):
     return value
 
 
+def _backoff_factor(text):
+    """Argparse type for the retransmission timeout growth factor.
+
+    Below 1 a retry would wait *less* than the attempt before it (a
+    negative factor even gives it a negative timeout, discarding every
+    answer to a retry as late).
+    """
+    value = _positive_float(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a factor of at least 1 (got %r)" % text)
+    return value
+
+
 def _fraction(text):
     """Argparse type for (0, 1) shares (audit fraction, drift budget)."""
     value = _positive_float(text)
@@ -161,16 +175,17 @@ def _add_common(parser):
                         help="live materialized nodes kept per worker "
                              "under --lazy-population (LRU-evicted "
                              "beyond this)")
-    parser.add_argument("--backoff", type=float, default=2.0,
+    parser.add_argument("--backoff", type=_backoff_factor, default=2.0,
                         metavar="FACTOR",
-                        help="retransmission timeout growth factor "
-                             "(each retry waits FACTOR times longer)")
+                        help="retransmission timeout growth factor, "
+                             "at least 1 (each retry waits FACTOR times "
+                             "longer)")
     parser.add_argument("--pacing", choices=("off", "adaptive"),
                         default="off",
                         help="probe-rate controller: 'adaptive' runs an "
                              "AIMD rate per /16 window with a circuit "
                              "breaker against defensive middleboxes")
-    parser.add_argument("--max-pps", type=float, default=None,
+    parser.add_argument("--max-pps", type=_positive_float, default=None,
                         metavar="PPS",
                         help="declared probe-rate ceiling; also the "
                              "adaptive controller's upper bound")
@@ -801,7 +816,7 @@ def build_parser():
     _add_checkpoint(campaign)
     _add_trace(campaign)
     _add_delta(campaign)
-    campaign.add_argument("--weeks", type=int, default=12)
+    campaign.add_argument("--weeks", type=_positive_int, default=12)
     campaign.set_defaults(func=cmd_campaign)
 
     fingerprint = subparsers.add_parser(
@@ -827,7 +842,7 @@ def build_parser():
     _add_checkpoint(fullstudy)
     _add_trace(fullstudy)
     _add_delta(fullstudy)
-    fullstudy.add_argument("--weeks", type=int, default=20)
+    fullstudy.add_argument("--weeks", type=_positive_int, default=20)
     fullstudy.add_argument("--snoop-sample", type=int, default=200)
     fullstudy.add_argument("--out", default=None)
     fullstudy.set_defaults(func=cmd_fullstudy)

@@ -84,11 +84,6 @@ class ProbeBatchEncoder:
         frame[hex_offset:hex_offset + 8] = b"%08x" % value
         return txid, bytes(frame)
 
-    def encode_batch(self, keys, values):
-        """Encode a whole batch; returns a list of (txid, payload)."""
-        encode = self.encode
-        return [encode(key, value) for key, value in zip(keys, values)]
-
 
 def encode_target_qname(target_ip, measurement_domain, probe_id=0):
     """Build the IPv4-scan query name: random prefix + hex target IP."""

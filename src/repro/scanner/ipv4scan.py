@@ -47,7 +47,6 @@ from repro.dnswire.constants import (
     RCODE_SERVFAIL,
 )
 from repro.dnswire.message import peek_header
-from repro.dnswire.name import encode_name
 from repro.netsim.address import (
     RESERVED_NETWORKS,
     int_to_ip,
@@ -62,14 +61,10 @@ from repro.scanner.pacing import (
     normalize_pacing,
 )
 
-# Fixed header flags + section counts of a standard 1-question query
-# (rd=1, qdcount=1), i.e. bytes 2..11 of every probe we send.
-_QUERY_HEADER_TAIL = b"\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00"
-_QUESTION_TAIL = b"\x00\x01\x00\x01"  # QTYPE=A, QCLASS=IN
 _M64 = (1 << 64) - 1
-# Single-byte label-length prefixes, indexed by length (qname labels are
-# at most 63 bytes by definition).
-_LABEL_LEN = tuple(bytes((n,)) for n in range(64))
+# A timed attempt never waits less than this multiple of the target's
+# deterministic round trip (the adaptive per-target timeout floor).
+_TIMEOUT_MARGIN = 1.25
 
 
 def _mix64(value):
@@ -225,9 +220,8 @@ def _address_columns(target_space):
 def _allowed_column(target_space, target_filter):
     """Index-aligned allow mask: 1 where the filter admits the address.
 
-    Equivalent to :meth:`TargetFilter.allows_slot` over every index —
-    clean prefixes are painted with one slice store, only the rare
-    dirty prefix walks its addresses.
+    Clean prefixes (see :class:`TargetFilter`) are painted with one
+    slice store, only the rare dirty prefix walks its addresses.
     """
     blacklist = target_filter.blacklist
     key = (_space_signature(target_space), target_filter.signature())
@@ -642,17 +636,6 @@ class TargetFilter:
                     for other in excluded)
             for prefix in target_space.prefixes
         ]
-        self.all_clean = all(self.clean) and not self.blacklist_addresses
-
-    def allows_slot(self, slot, value):
-        """Membership check given the prefix slot and integer address."""
-        if self.clean[slot]:
-            return value not in self.blacklist_addresses
-        if is_reserved(value):
-            return False
-        if self.blacklist is not None and value in self.blacklist:
-            return False
-        return True
 
     def signature(self):
         """Value-identity of the filter (the blacklist's exact content),
@@ -667,13 +650,13 @@ class TargetFilter:
 class Ipv4Scanner:
     """Sends one DNS A probe per target address and aggregates responses.
 
-    ``retries``/``probe_timeout``/``backoff`` configure the robust probe
-    path: up to ``retries`` retransmissions per unanswered target, each
-    attempt's timeout growing exponentially from ``probe_timeout`` but
-    never below the target's own deterministic round-trip estimate
-    (adaptive per-target timeout).  The defaults (``retries=0``,
-    ``probe_timeout=None``) keep the single-probe fast path — and the
-    existing determinism gates — bit-identical to before.
+    ``retries``/``probe_timeout``/``backoff`` configure each target's
+    attempt schedule: up to ``retries`` retransmissions per unanswered
+    target, each attempt's timeout growing by the factor ``backoff``
+    (at least 1) from ``probe_timeout`` but never below the target's
+    own deterministic round-trip estimate (adaptive per-target
+    timeout).  The defaults (``retries=0``, ``probe_timeout=None``) send
+    one probe per target.
 
     ``pacing``/``max_pps`` configure the arms-race side (see
     :mod:`repro.scanner.pacing`): ``pacing="adaptive"`` precomputes an
@@ -693,8 +676,7 @@ class Ipv4Scanner:
     def __init__(self, network, source_ip, measurement_domain,
                  blacklist=None, source_port=31337, lfsr_seed=0xACE1,
                  perf=None, retries=0, probe_timeout=None, backoff=2.0,
-                 timeout_margin=1.25, probe_batch=4096, pacing=None,
-                 max_pps=None):
+                 probe_batch=4096, pacing=None, max_pps=None):
         self.network = network
         self.source_ip = source_ip
         self.measurement_domain = measurement_domain
@@ -706,21 +688,17 @@ class Ipv4Scanner:
             raise ValueError("retries must be >= 0")
         if probe_timeout is not None and not probe_timeout > 0:
             raise ValueError("probe_timeout must be > 0 (or None)")
+        if not backoff >= 1:  # also catches NaN
+            raise ValueError("backoff must be >= 1")
         if probe_batch < 1:
             raise ValueError("probe batch size must be >= 1")
         self.retries = retries
         self.probe_timeout = probe_timeout
         self.backoff = backoff
-        self.timeout_margin = timeout_margin
         self.probe_batch = probe_batch
         self.pacing = normalize_pacing(pacing, max_pps)
         self.max_pps = max_pps
         self._encoder = ProbeBatchEncoder(measurement_domain)
-        self._suffix_wire = encode_name(measurement_domain)
-        # Pre-encoded query template: everything after the txid plus
-        # everything after the variable qname labels.
-        self._template_head = _QUERY_HEADER_TAIL
-        self._template_tail = self._suffix_wire + _QUESTION_TAIL
         # Scanner identity folded into probe ids: the verification
         # scanner (different source) must not reuse the primary
         # scanner's query names even when probing the same target at the
@@ -742,20 +720,6 @@ class Ipv4Scanner:
         """Per-scan component of probe identity (advances with the clock)."""
         return int(self.network.clock.now) & 0xFFFFFFFF
 
-    def _query_wire(self, qname_prefix_labels, txid):
-        """Build query bytes directly: header + labels + suffix + A/IN.
-
-        Equivalent to ``Message.query(...).to_wire()`` (covered by tests)
-        but ~4x faster, which matters at one probe per address per week.
-        """
-        parts = [txid.to_bytes(2, "big"), self._template_head]
-        for label in qname_prefix_labels:
-            raw = label.encode("ascii")
-            parts.append(bytes((len(raw),)))
-            parts.append(raw)
-        parts.append(self._template_tail)
-        return b"".join(parts)
-
     def probe(self, target_ip):
         """Send one scan probe; return parsed (rcode, source_ip) pairs."""
         target_int = ip_to_int(target_ip)
@@ -765,13 +729,7 @@ class Ipv4Scanner:
 
     def _probe_fast(self, target_ip, target_int, key):
         """Hot-path probe: pre-keyed identity, header-peek triage."""
-        txid = key & 0xFFFF
-        prefix_label = b"r%x" % ((key >> 16) & 0xFFFFFF)
-        payload = b"".join((
-            txid.to_bytes(2, "big"), self._template_head,
-            bytes((len(prefix_label),)), prefix_label,
-            b"\x08", b"%08x" % target_int,
-            self._template_tail))
+        txid, payload = self._encoder.encode(key, target_int)
         observations = []
         for response in self.network.send_probe(
                 self.source_ip, self.source_port, target_ip, 53,
@@ -826,22 +784,19 @@ class Ipv4Scanner:
         take_chunk`) and handed to the sink, so the scan never holds
         more than one chunk of observations; the returned result then
         carries only the scalar tail plus the final partial columns.
-        When retries or a probe timeout are configured the scan takes
-        the robust per-target path; otherwise targets stream out of the
-        LFSR permutation in :attr:`probe_batch`-sized batches and each
-        batch is either bulk-settled (see :meth:`_scan_batched`) or
-        walked per-probe (:meth:`_scan_per_probe` — the exact wire
-        path, used whenever bulk short-cuts cannot be proven safe:
-        fault injection or a flight recorder active, a middlebox that
-        cannot enumerate its interest, or a flow epoch that has already
-        drawn packet fates).
+        Targets stream out of the LFSR permutation in
+        :attr:`probe_batch`-sized batches and one loop
+        (:meth:`_scan_batched`) settles them under one of two plans:
+        the bulk plan (:meth:`_sweep_plan`), or the every-target plan —
+        each target takes the exact wire path — used whenever bulk
+        short-cuts cannot be proven safe: retransmissions configured (a
+        cold target then sends more than one datagram), fault injection
+        or a flight recorder active, a middlebox that cannot enumerate
+        its interest, or a flow epoch that has already drawn packet
+        fates.
         """
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        if self.retries > 0 or self.probe_timeout is not None:
-            return self._scan_robust(target_space, index_range,
-                                     on_progress, chunk_sink=chunk_sink,
-                                     chunk_rows=chunk_rows)
         result = ScanResult(self.network.clock.now)
         total = len(target_space)
         if total == 0:
@@ -864,7 +819,8 @@ class Ipv4Scanner:
                                       batch_size=self.probe_batch)
         network = self.network
         begin_epoch = getattr(network, "begin_flow_epoch", None)
-        bulk_ok = (begin_epoch is not None
+        bulk_ok = (not self.retries
+                   and begin_epoch is not None
                    and getattr(network, "recorder", None) is None
                    and getattr(network, "faults", None) is None
                    and begin_epoch())
@@ -873,6 +829,13 @@ class Ipv4Scanner:
             interest = network.scan_interest(
                 self.source_ip, 53,
                 qname_suffix=self.measurement_domain)
+        bulk = bulk_ok and interest is not None
+        if bulk:
+            plan = self._sweep_plan(target_space, target_filter, start,
+                                    stop, batches, addresses,
+                                    addresses_sorted, interest)
+        else:
+            plan = ((len(batch), batch, 0) for batch in batches)
         pacing = self._pacing_plan(target_space, target_filter)
         base_bucket = int(self.max_pps) if self.max_pps is not None \
             else None
@@ -882,36 +845,12 @@ class Ipv4Scanner:
             # buckets override it probe by probe under adaptive pacing.
             network.scan_rate_bucket = base_bucket
         try:
-            if bulk_ok and interest is not None:
-                plan_key = None
-                nodes_signature = getattr(network, "nodes_signature", None)
-                if nodes_signature is not None:
-                    # Everything the cold settlement is a function of; an
-                    # unkeyable network double just skips the memo.
-                    plan_key = (
-                        _space_signature(target_space),
-                        target_filter.signature(),
-                        self.lfsr_seed, start, stop, self.probe_batch,
-                        nodes_signature(), tuple(interest),
-                        getattr(network, "_seed_high", None),
-                        network.loss_rate, self.source_ip,
-                        self.source_port)
-                result = self._scan_batched(result, batches, addresses,
-                                            state_addresses,
-                                            addresses_sorted, interest,
-                                            epoch, on_progress,
-                                            plan_key=plan_key,
-                                            pacing=pacing,
-                                            base_bucket=base_bucket,
-                                            chunk_sink=chunk_sink,
-                                            chunk_rows=chunk_rows)
-            else:
-                result = self._scan_per_probe(result, batches,
-                                              state_addresses, epoch,
-                                              on_progress, pacing=pacing,
-                                              base_bucket=base_bucket,
-                                              chunk_sink=chunk_sink,
-                                              chunk_rows=chunk_rows)
+            result = self._scan_batched(result, plan, state_addresses,
+                                        epoch, on_progress, bulk=bulk,
+                                        pacing=pacing,
+                                        base_bucket=base_bucket,
+                                        chunk_sink=chunk_sink,
+                                        chunk_rows=chunk_rows)
         finally:
             if paced:
                 network.scan_rate_bucket = None
@@ -1020,13 +959,38 @@ class Ipv4Scanner:
         column.extend(hot)
         return column
 
-    def _build_sweep_plan(self, batches, addresses, state_addresses,
-                          addresses_sorted, interest):
-        """The cold settlement of a sweep: per batch, ``(size,
-        hot_states, lost)`` — the states needing the full wire path and
-        the bulk-settled first-occurrence loss count for the rest.
+    def _sweep_plan(self, target_space, target_filter, start, stop,
+                    batches, addresses, addresses_sorted, interest):
+        """The bulk plan — the cold settlement of a sweep: per batch,
+        ``(size, hot_states, lost)``, the states needing the full wire
+        path and the bulk-settled first-occurrence loss count for the
+        rest.
+
+        A cold probe's only observable effects in ``send_probe`` are
+        one ``udp_queries_sent`` increment and a first-occurrence
+        query-loss draw (no node, no interested middlebox, no faults,
+        no recorder, no retransmission — all established by the
+        caller), so a whole batch's worth collapses to ``len(batch)``
+        sends plus a sum over the precomputed loss column; fates stay
+        bit-identical because the column is the same pure flow hash
+        ``send_probe`` draws.  The plan is memoised on everything it is
+        a function of, so re-scans against an unchanged world only ever
+        pay for the hot probes.
         """
         network = self.network
+        plan_key = None
+        nodes_signature = getattr(network, "nodes_signature", None)
+        if nodes_signature is not None:
+            # An unkeyable network double just skips the memo.
+            plan_key = (
+                _space_signature(target_space), target_filter.signature(),
+                self.lfsr_seed, start, stop, self.probe_batch,
+                nodes_signature(), tuple(interest),
+                getattr(network, "_seed_high", None), network.loss_rate,
+                self.source_ip, self.source_port)
+            plan = _SWEEP_PLAN_CACHE.get(plan_key)
+            if plan is not None:
+                return plan
         state_loss = None
         loss_selector = network.query_loss_selector(
             self.source_ip, self.source_port, 53, addresses)
@@ -1045,42 +1009,36 @@ class Ipv4Scanner:
                 # their column bits must not be double-counted.
                 lost -= sum(map(loss_of, hot_states))
             plan.append((len(batch), hot_states, lost))
+        if plan_key is not None:
+            _evict(_SWEEP_PLAN_CACHE)
+            _SWEEP_PLAN_CACHE[plan_key] = plan
         return plan
 
-    def _scan_batched(self, result, batches, addresses, state_addresses,
-                      addresses_sorted, interest, epoch, on_progress,
-                      plan_key=None, pacing=None, base_bucket=None,
-                      chunk_sink=None, chunk_rows=65536):
-        """Bulk sweep: settle cold targets per batch with C-level
-        column operations, full wire path for hot ones.
+    def _scan_batched(self, result, plan, state_addresses, epoch,
+                      on_progress, bulk=False, pacing=None,
+                      base_bucket=None, chunk_sink=None, chunk_rows=65536):
+        """The scan's one settle loop, driven by a plan of ``(size,
+        states, lost)`` per batch: each listed state's target runs its
+        attempt schedule down the full wire path, in LFSR order, and on
+        the bulk plan the batch's remaining ``size - len(states)`` cold
+        probes (``lost`` of them lost) are settled as counters.
 
-        A cold probe's only observable effects in ``send_probe`` are
-        one ``udp_queries_sent`` increment and a first-occurrence
-        query-loss draw (no node, no interested middlebox, no faults,
-        no recorder — all established by the caller), so a whole
-        batch's worth collapses to ``len(batch)`` sends plus a sum over
-        the precomputed loss column; fates stay bit-identical because
-        the column is the same pure flow hash ``send_probe`` draws.
-        The settlement itself (:meth:`_build_sweep_plan`) is memoised
-        under ``plan_key``, so re-scans against an unchanged world only
-        ever pay for the hot probes.
+        A target's attempts are contiguous: up to ``retries``
+        retransmissions when nothing (in time) answered, each attempt's
+        timeout growing exponentially from ``probe_timeout`` but never
+        below the target's own deterministic round trip.  Every
+        retransmission re-sends the *same* flow, so the network's
+        flow-keyed fate draws give it a fresh, order-independent loss
+        decision — merged shard results stay bit-identical to a
+        sequential scan.
         """
         network = self.network
-        plan = _SWEEP_PLAN_CACHE.get(plan_key) if plan_key is not None \
-            else None
-        if plan is None:
-            plan = self._build_sweep_plan(batches, addresses,
-                                          state_addresses,
-                                          addresses_sorted, interest)
-            if plan_key is not None:
-                _evict(_SWEEP_PLAN_CACHE)
-                _SWEEP_PLAN_CACHE[plan_key] = plan
         # Inert middleboxes (scan_interest == []) are pruned from the
-        # hot probes' path checks; network doubles without the hook
-        # keep the stock send_probe signature.
+        # bulk plan's hot-probe path checks; network doubles without
+        # the hook keep the stock send_probe signature.
         sweep_checks = None
         path_checks = getattr(network, "scan_path_checks", None)
-        if path_checks is not None:
+        if bulk and path_checks is not None:
             sweep_checks = path_checks(
                 self.source_ip, 53, qname_suffix=self.measurement_domain)
         seed_epoch = self._identity ^ (epoch << 32)
@@ -1090,12 +1048,32 @@ class Ipv4Scanner:
         source_port = self.source_port
         addr_of = state_addresses.__getitem__
         record_value = result.record_value
+        attempts = self.retries + 1
+        base_schedule = retry_schedule(self.probe_timeout, self.retries,
+                                       self.backoff)
+        # Floor-anchored escape (mirrors retry_schedule): when a
+        # target's rtt floor dominates even the last backed-off base
+        # timeout, re-anchor the exponent at the floor so the schedule
+        # never silently flattens.
+        last_base = base_schedule[-1]
+        backoff_steps = [self.backoff ** attempt
+                         for attempt in range(attempts)]
+        latency_between = (network.latency_between
+                           if last_base is not None else None)
         probes_sent = 0
         bulk_sent = 0
         bulk_lost = 0
         suppressed = 0
+        targets_probed = 0
+        retransmissions = 0
+        late_responses = 0
+        flat_escapes = 0
         responses_seen = 0
         rtts = [] if self.perf is not None else None
+        # Heartbeats: per 1024 targets probed on the every-target plan,
+        # per 1024 settled probes (at batch ends) on the bulk plan.
+        target_beat = on_progress if not bulk else None
+        batch_beat = on_progress if bulk else None
         heartbeat_due = 0
         # Pacing: defended targets are hot by construction (their boxes
         # declare scan_interest), so the plan's per-target decisions are
@@ -1104,95 +1082,9 @@ class Ipv4Scanner:
         paced_rates = pacing.rates.get if pacing is not None else None
         window_mask = pacing.window_mask if pacing is not None else 0
         record_suppressed = result.record_suppressed
-        for size, hot_states, lost in plan:
-            for state in hot_states:
-                value = addr_of(state)
-                if paced_causes is not None:
-                    cause = paced_causes.get(value)
-                    if cause is not None:
-                        suppressed += 1
-                        record_suppressed(value & window_mask, cause)
-                        continue
-                    network.scan_rate_bucket = paced_rates(value,
-                                                           base_bucket)
-                # splitmix64 finaliser, inlined (== _mix64).
-                key = (seed_epoch ^ value) & _M64
-                key ^= key >> 30
-                key = (key * 0xBF58476D1CE4E5B9) & _M64
-                key ^= key >> 27
-                key = (key * 0x94D049BB133111EB) & _M64
-                key ^= key >> 31
-                txid, payload = encode(key, value)
-                target_ip = int_to_ip(value)
-                if sweep_checks is None:
-                    responses = send_probe(source_ip, source_port,
-                                           target_ip, 53, value, payload)
-                else:
-                    responses = send_probe(source_ip, source_port,
-                                           target_ip, 53, value, payload,
-                                           _checks=sweep_checks)
-                for response in responses:
-                    raw = response.packet.payload
-                    # Inlined peek_header + qr/txid triage.
-                    if len(raw) < 12 or not raw[2] & 0x80:
-                        continue
-                    if (raw[0] << 8) | raw[1] != txid:
-                        continue
-                    responses_seen += 1
-                    if rtts is not None:
-                        rtts.append(response.latency)
-                    record_value(value, raw[3] & 0x0F,
-                                 response.packet.src_ip != target_ip)
-            probes_sent += size
-            bulk_sent += size - len(hot_states)
-            bulk_lost += lost
-            if chunk_sink is not None and \
-                    result.row_count() >= chunk_rows:
-                chunk_sink(result.take_chunk())
-            if on_progress is not None:
-                heartbeat_due += size
-                while heartbeat_due >= 1024:
-                    on_progress()
-                    heartbeat_due -= 1024
-        network.absorb_probe_sweep(bulk_sent, bulk_lost)
-        result.probes_sent = probes_sent - suppressed
-        if self.perf is not None:
-            self.perf.count("probes_sent", probes_sent - suppressed)
-            self.perf.count("probes_bulk_settled", bulk_sent)
-            self.perf.count("responses_seen", responses_seen)
-            self.perf.count("parse_calls_avoided", responses_seen)
-            if suppressed:
-                self.perf.count("pacing_suppressed_targets", suppressed)
-            self.perf.observe_many("probe_rtt_seconds", rtts)
-        return result
-
-    def _scan_per_probe(self, result, batches, state_addresses, epoch,
-                        on_progress, pacing=None, base_bucket=None,
-                        chunk_sink=None, chunk_rows=65536):
-        """Per-probe sweep over the batched target stream: every target
-        takes the full ``send_probe`` wire path (the reference
-        semantics), with target generation and filtering still done in
-        C-level batches.
-        """
-        network = self.network
-        seed_epoch = self._identity ^ (epoch << 32)
-        encode = self._encoder.encode
-        send_probe = network.send_probe
-        source_ip = self.source_ip
-        source_port = self.source_port
-        addr_of = state_addresses.__getitem__
-        record_value = result.record_value
-        probes_sent = 0
-        suppressed = 0
-        responses_seen = 0
-        rtts = [] if self.perf is not None else None
-        paced_causes = pacing.suppressed if pacing is not None else None
-        paced_rates = pacing.rates.get if pacing is not None else None
-        window_mask = pacing.window_mask if pacing is not None else 0
-        record_suppressed = result.record_suppressed
         recorder = getattr(network, "recorder", None)
-        for batch in batches:
-            for state in batch:
+        for size, states, lost in plan:
+            for state in states:
                 value = addr_of(state)
                 if paced_causes is not None:
                     cause = paced_causes.get(value)
@@ -1206,9 +1098,10 @@ class Ipv4Scanner:
                         continue
                     network.scan_rate_bucket = paced_rates(value,
                                                            base_bucket)
-                probes_sent += 1
-                if on_progress is not None and not probes_sent & 1023:
-                    on_progress()
+                if target_beat is not None:
+                    targets_probed += 1
+                    if not targets_probed & 1023:
+                        target_beat()
                 # splitmix64 finaliser, inlined (== _mix64).
                 key = (seed_epoch ^ value) & _M64
                 key ^= key >> 30
@@ -1218,197 +1111,87 @@ class Ipv4Scanner:
                 key ^= key >> 31
                 txid, payload = encode(key, value)
                 target_ip = int_to_ip(value)
-                for response in send_probe(source_ip, source_port,
-                                           target_ip, 53, value, payload):
-                    raw = response.packet.payload
-                    # Inlined peek_header + qr/txid triage.
-                    if len(raw) < 12 or not raw[2] & 0x80:
-                        continue
-                    if (raw[0] << 8) | raw[1] != txid:
-                        continue
-                    responses_seen += 1
-                    if rtts is not None:
-                        rtts.append(response.latency)
-                    record_value(value, raw[3] & 0x0F,
-                                 response.packet.src_ip != target_ip)
+                # Adaptive floor: never time a target out faster than
+                # its own deterministic round trip.
+                rtt_floor = None
+                floor_anchored = False
+                for attempt in range(attempts):
+                    timeout = base_schedule[attempt]
+                    if timeout is not None:
+                        if rtt_floor is None:
+                            rtt_floor = 2 * latency_between(
+                                source_ip, target_ip) * _TIMEOUT_MARGIN
+                            floor_anchored = (attempts > 1
+                                              and last_base <= rtt_floor)
+                            if floor_anchored:
+                                flat_escapes += 1
+                        if floor_anchored:
+                            timeout = rtt_floor * backoff_steps[attempt]
+                        elif timeout < rtt_floor:
+                            timeout = rtt_floor
+                    if attempt:
+                        retransmissions += 1
+                    if sweep_checks is None:
+                        responses = send_probe(source_ip, source_port,
+                                               target_ip, 53, value,
+                                               payload)
+                    else:
+                        responses = send_probe(source_ip, source_port,
+                                               target_ip, 53, value,
+                                               payload,
+                                               _checks=sweep_checks)
+                    answered = False
+                    for response in responses:
+                        raw = response.packet.payload
+                        # Inlined peek_header + qr/txid triage.
+                        if len(raw) < 12 or not raw[2] & 0x80:
+                            continue
+                        if (raw[0] << 8) | raw[1] != txid:
+                            continue
+                        if timeout is not None and \
+                                response.latency > timeout:
+                            late_responses += 1
+                            continue
+                        answered = True
+                        responses_seen += 1
+                        if rtts is not None:
+                            rtts.append(response.latency)
+                        record_value(value, raw[3] & 0x0F,
+                                     response.packet.src_ip != target_ip)
+                    if answered:
+                        break
+            probes_sent += size
+            bulk_sent += size - len(states)
+            bulk_lost += lost
             if chunk_sink is not None and \
                     result.row_count() >= chunk_rows:
                 chunk_sink(result.take_chunk())
-        result.probes_sent = probes_sent
-        if self.perf is not None:
-            self.perf.count("probes_sent", probes_sent)
-            self.perf.count("responses_seen", responses_seen)
-            self.perf.count("parse_calls_avoided", responses_seen)
-            if suppressed:
-                self.perf.count("pacing_suppressed_targets", suppressed)
-            self.perf.observe_many("probe_rtt_seconds", rtts)
-        return result
-
-    def _scan_robust(self, target_space, index_range, on_progress,
-                     chunk_sink=None, chunk_rows=65536):
-        """Retry/backoff scan path (``retries > 0`` or a probe timeout).
-
-        Walks the identical LFSR permutation as the fast loop, but each
-        unanswered target is retransmitted up to ``retries`` times with
-        exponentially growing, latency-floored timeouts.  Every
-        retransmission re-sends the *same* flow, so the network's
-        flow-keyed fate draws give it a fresh, order-independent loss
-        decision — merged shard results stay bit-identical to a
-        sequential robust scan.
-        """
-        result = ScanResult(self.network.clock.now)
-        total = len(target_space)
-        if total == 0:
-            return result
-        start, stop = index_range if index_range is not None else (0, total)
-        epoch = self._scan_epoch()
-        order = LFSR.order_for(total)
-        lfsr = LFSR(order, seed=(self.lfsr_seed % ((1 << order) - 1)) or 1)
-        target_filter = TargetFilter(target_space, self.blacklist)
-        cumulative = target_space._cumulative
-        prefixes = target_space.prefixes
-        bisect_right = bisect.bisect_right
-        allows_slot = target_filter.allows_slot
-        all_clean = target_filter.all_clean
-        seed_epoch = self._identity ^ (epoch << 32)
-        attempts = self.retries + 1
-        base_schedule = retry_schedule(self.probe_timeout, self.retries,
-                                       self.backoff)
-        # Floor-anchored escape (mirrors retry_schedule): when a
-        # target's rtt floor dominates even the last backed-off base
-        # timeout, re-anchor the exponent at the floor so the schedule
-        # never silently flattens.
-        last_base = base_schedule[-1]
-        backoff_steps = [self.backoff ** attempt
-                         for attempt in range(attempts)]
-        flat_escapes = 0
-        latency_between = self.network.latency_between
-        margin = self.timeout_margin
-        network = self.network
-        pacing = self._pacing_plan(target_space, target_filter)
-        base_bucket = int(self.max_pps) if self.max_pps is not None \
-            else None
-        paced = pacing is not None or base_bucket is not None
-        paced_causes = pacing.suppressed if pacing is not None else None
-        paced_rates = pacing.rates.get if pacing is not None else None
-        window_mask = pacing.window_mask if pacing is not None else 0
-        recorder = getattr(network, "recorder", None)
-        record_suppressed = result.record_suppressed
-        suppressed = 0
-        taps = lfsr.taps
-        state = first = lfsr.state
-        probes_sent = 0
-        targets_probed = 0
-        retransmissions = 0
-        late_responses = 0
-        responses_seen = 0
-        rtts = [] if self.perf is not None else None
-        if paced:
-            network.scan_rate_bucket = base_bucket
-        try:
-            while True:
-                index = state - 1
-                if index < total and start <= index < stop:
-                    slot = bisect_right(cumulative, index) - 1
-                    value = prefixes[slot].base + (index - cumulative[slot])
-                    allowed_here = all_clean or allows_slot(slot, value)
-                    cause = (paced_causes.get(value)
-                             if allowed_here and paced_causes is not None
-                             else None)
-                    if cause is not None:
-                        suppressed += 1
-                        record_suppressed(value & window_mask, cause)
-                        if recorder is not None:
-                            recorder.record(network.clock.now,
-                                            "suppressed", self.source_ip,
-                                            value, cause)
-                    elif allowed_here:
-                        targets_probed += 1
-                        if on_progress is not None and \
-                                not targets_probed & 1023:
-                            on_progress()
-                        if paced_rates is not None:
-                            network.scan_rate_bucket = paced_rates(
-                                value, base_bucket)
-                        key = _mix64(seed_epoch ^ value)
-                        txid = key & 0xFFFF
-                        prefix_label = b"r%x" % ((key >> 16) & 0xFFFFFF)
-                        payload = b"".join((
-                            txid.to_bytes(2, "big"), self._template_head,
-                            _LABEL_LEN[len(prefix_label)], prefix_label,
-                            b"\x08", b"%08x" % value, self._template_tail))
-                        target_ip = int_to_ip(value)
-                        # Adaptive floor: never time a target out faster
-                        # than its own deterministic round trip.
-                        rtt_floor = None
-                        floor_anchored = False
-                        for attempt in range(attempts):
-                            timeout = base_schedule[attempt]
-                            if timeout is not None:
-                                if rtt_floor is None:
-                                    rtt_floor = 2 * latency_between(
-                                        self.source_ip, target_ip) * margin
-                                    floor_anchored = (
-                                        attempts > 1
-                                        and last_base <= rtt_floor)
-                                    if floor_anchored:
-                                        flat_escapes += 1
-                                if floor_anchored:
-                                    timeout = rtt_floor * \
-                                        backoff_steps[attempt]
-                                elif timeout < rtt_floor:
-                                    timeout = rtt_floor
-                            probes_sent += 1
-                            if attempt:
-                                retransmissions += 1
-                            answered = False
-                            for response in network.send_probe(
-                                    self.source_ip, self.source_port,
-                                    target_ip, 53, value, payload):
-                                raw = response.packet.payload
-                                if len(raw) < 12 or not raw[2] & 0x80:
-                                    continue
-                                if (raw[0] << 8) | raw[1] != txid:
-                                    continue
-                                if timeout is not None and \
-                                        response.latency > timeout:
-                                    late_responses += 1
-                                    continue
-                                answered = True
-                                responses_seen += 1
-                                if rtts is not None:
-                                    rtts.append(response.latency)
-                                result.record(target_ip, raw[3] & 0x0F,
-                                              response.packet.src_ip)
-                            if answered:
-                                break
-                        if chunk_sink is not None and \
-                                result.row_count() >= chunk_rows:
-                            chunk_sink(result.take_chunk())
-                lsb = state & 1
-                state >>= 1
-                if lsb:
-                    state ^= taps
-                if state == first:
-                    break
-        finally:
-            if paced:
-                network.scan_rate_bucket = None
+            if batch_beat is not None:
+                heartbeat_due += size
+                while heartbeat_due >= 1024:
+                    batch_beat()
+                    heartbeat_due -= 1024
+        if bulk:
+            network.absorb_probe_sweep(bulk_sent, bulk_lost)
+        probes_sent += retransmissions - suppressed
         result.probes_sent = probes_sent
         result.retransmissions = retransmissions
-        if self.perf is not None:
-            self.perf.count("probes_sent", probes_sent)
-            self.perf.count("responses_seen", responses_seen)
-            self.perf.count("parse_calls_avoided", responses_seen)
-            self.perf.count("probe_retransmissions", retransmissions)
+        perf = self.perf
+        if perf is not None:
+            perf.count("probes_sent", probes_sent)
+            if bulk:
+                perf.count("probes_bulk_settled", bulk_sent)
+            perf.count("responses_seen", responses_seen)
+            perf.count("parse_calls_avoided", responses_seen)
+            if self.retries or last_base is not None:
+                perf.count("probe_retransmissions", retransmissions)
             if late_responses:
-                self.perf.count("probe_responses_late", late_responses)
+                perf.count("probe_responses_late", late_responses)
             if suppressed:
-                self.perf.count("pacing_suppressed_targets", suppressed)
+                perf.count("pacing_suppressed_targets", suppressed)
             if flat_escapes:
-                self.perf.count("rtt_floor_flat_schedules", flat_escapes)
-            self.perf.observe_many("probe_rtt_seconds", rtts)
-        self._record_pacing_perf(pacing, index_range, total)
+                perf.count("rtt_floor_flat_schedules", flat_escapes)
+            perf.observe_many("probe_rtt_seconds", rtts)
         return result
 
     def scan_addresses(self, addresses):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dnswire import Message
 from repro.inetmodel import PrefixAllocator
 from repro.netsim import Node
 from repro.resolvers import ResolverNode
@@ -65,12 +64,16 @@ class TestScan:
         assert result.probes_sent == 2
         assert result.counts()["noerror"] == 1
 
-    def test_fast_query_wire_matches_message_codec(self, world):
-        scanner = make_scanner(world)
-        payload = scanner._query_wire(("r2a", "01020304"), 0x1234)
-        reference = Message.query(
-            "r2a.01020304.%s" % MEASUREMENT_DOMAIN, txid=0x1234).to_wire()
-        assert payload == reference
+    @pytest.mark.parametrize("backoff", [-2.0, 0.0, 0.5, float("nan")])
+    def test_backoff_below_one_rejected(self, world, backoff):
+        # Below 1 each retry would wait less than the attempt before it;
+        # a negative factor even makes every retry's timeout negative.
+        with pytest.raises(ValueError):
+            make_scanner(world, retries=1, probe_timeout=0.5,
+                         backoff=backoff)
+
+    def test_backoff_of_one_accepted(self, world):
+        assert make_scanner(world, retries=1, backoff=1.0).backoff == 1.0
 
     def test_deterministic_across_runs(self, world):
         first = make_scanner(world).scan(ScanTargetSpace([world.pool]))

@@ -73,6 +73,14 @@ class TestKnobValidation:
         ("--probe-timeout", "-1"),
         ("--probe-timeout", "nan"),
         ("--probe-timeout", "soon"),
+        ("--backoff", "-2"),
+        ("--backoff", "0"),
+        ("--backoff", "0.5"),
+        ("--backoff", "nan"),
+        ("--backoff", "steep"),
+        ("--max-pps", "0"),
+        ("--max-pps", "-5"),
+        ("--max-pps", "nan"),
     ])
     def test_nonsense_probe_knobs_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -80,6 +88,20 @@ class TestKnobValidation:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "must be" in err or "is not a" in err
+
+    def test_backoff_one_is_valid(self):
+        # A factor of exactly 1 keeps every retry's timeout constant.
+        args = build_parser().parse_args(["scan", "--backoff", "1"])
+        assert args.backoff == 1.0
+
+    @pytest.mark.parametrize("command", ["campaign", "fullstudy"])
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+    def test_nonsense_weeks_rejected(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--weeks", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "positive integer" in err or "is not an integer" in err
 
     def test_retries_zero_is_valid(self):
         # Zero retries is the single-probe fast path, not nonsense.
