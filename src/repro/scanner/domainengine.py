@@ -1,14 +1,18 @@
 """Sharded domain scanning: step 2 of Figure 3 across worker processes.
 
-Splits the resolver list into N contiguous index shards and drives each
-through the shared fork/COW supervision machinery
-(:class:`repro.scanner.engine.ShardSupervisor`), the same pattern the
-IPv4 scan engine uses for step 1.  Each worker runs
-``DomainScanner.scan`` over its index slice of the *same* resolver
-list, so the resolver id encoded into every query (txid + source port +
-0x20 case pattern) is the global list index — a shard worker emits
-byte-identical queries to the ones the sequential scan would emit for
-those resolvers.
+:class:`DomainScanEngine` is a :class:`repro.scanner.engine.ScanEngine`:
+the constructor, fork check, chunk spill store, checkpointed shard
+planning, worker supervision and in-order delivery are all the IPv4
+engine's.  What stays here is domain-specific: the resolver-list
+shard split, the per-range scan that hands back ``(observations,
+queries)``, the reassembly of streamed observation chunks, and the
+delivery of observations — into a list, or to a ``consume`` callback.
+
+Each worker runs ``DomainScanner.scan`` over its index slice of the
+*same* resolver list, so the resolver id encoded into every query
+(txid + source port + 0x20 case pattern) is the global list index — a
+shard worker emits byte-identical queries to the ones the sequential
+scan would emit for those resolvers.
 
 Determinism contract (verified by ``tests/scanner/test_domainengine.py``
 and re-checked by ``benchmarks/perf/bench_pipeline.py``): the
@@ -19,22 +23,20 @@ pure function of (resolver index, domain), packet fates are keyed per
 flow + occurrence rather than drawn from a shared RNG, and one
 resolver's queries — which share a flow 4-tuple — always run in domain
 order inside a single worker because shards are contiguous resolver
-ranges.  Shard observation lists are concatenated in range-start order,
+ranges.  Shard observation lists are delivered in range-start order,
 which is exactly sequential order.
 
-As with the IPv4 engine, worker-side traffic/fault counter deltas and
-the scanner's ``queries_sent`` are reconciled into the parent, while
-worker-local resolver-cache warm-ups are deliberately dropped (replays
-from the identical pre-fork state produce identical answers).
+As with the IPv4 engine, worker-side traffic/fault counter deltas are
+reconciled into the parent by the supervisor, while worker-local
+resolver-cache warm-ups are deliberately dropped (replays from the
+identical pre-fork state produce identical answers).  The scanner's
+``queries_sent`` follows one rule: every shard scan hands back its
+query delta and leaves the counter where it found it, and delivery
+adds the delta — for worker, rescued and restored shards alike.
 """
 
-import os
-import shutil
-import tempfile
-import time
-
-from repro.checkpoint.store import SnapshotStore
-from repro.scanner.engine import ShardSupervisor, _plan_checkpointed_shards
+from repro.scanner.engine import ScanEngine
+from repro.util import shard_ranges
 
 
 def _absorb_observation_chunks(tail, chunks):
@@ -52,66 +54,7 @@ def _absorb_observation_chunks(tail, chunks):
     return merged, queries
 
 
-class _OrderedDelivery:
-    """Re-sequences out-of-order shard completions for a consumer.
-
-    Shards complete in arbitrary order (and a recovered shard may
-    complete as several split work items), but the pipeline must see
-    observations in exact sequential resolver order.  Completed items
-    are buffered per origin shard; once an origin's items cover its
-    whole range, and every earlier origin has been delivered, its
-    observations flush to ``consume`` in range order.  At most the
-    out-of-order window is ever buffered — a fully in-order run buffers
-    nothing beyond the completing shard.
-    """
-
-    def __init__(self, ranges, consume, scanner):
-        self.ranges = [tuple(r) for r in ranges]
-        self.origin_of_start = {r[0]: i for i, r in enumerate(self.ranges)}
-        self.consume = consume
-        self.scanner = scanner
-        self.parts = {}           # origin -> [(start, observations)]
-        self.covered = {}         # origin -> indexes covered so far
-        self.complete = set()
-        self.cursor = 0
-        self.delivered = 0
-
-    def add_restored(self, start, result):
-        origin = self.origin_of_start[start]
-        observations, queries = result
-        self.scanner.queries_sent += queries
-        self.parts.setdefault(origin, []).append((start, observations))
-        self.complete.add(origin)
-        self._flush()
-
-    def add_item(self, item, result, mode):
-        start, stop, origin, __attempt = item
-        observations, queries = result
-        if mode != "in-process":
-            # In-process rescues already advanced the live counter;
-            # worker shards reconcile here.
-            self.scanner.queries_sent += queries
-        self.parts.setdefault(origin, []).append((start, observations))
-        span = self.covered.get(origin, 0) + (stop - start)
-        self.covered[origin] = span
-        origin_start, origin_stop = self.ranges[origin]
-        if span == origin_stop - origin_start:
-            self.complete.add(origin)
-        self._flush()
-
-    def _flush(self):
-        while self.cursor < len(self.ranges) and \
-                self.cursor in self.complete:
-            parts = self.parts.pop(self.cursor)
-            parts.sort(key=lambda entry: entry[0])
-            for __, observations in parts:
-                if observations:
-                    self.delivered += len(observations)
-                    self.consume(observations)
-            self.cursor += 1
-
-
-class DomainScanEngine:
+class DomainScanEngine(ScanEngine):
     """Runs the per-resolver domain scan, optionally sharded.
 
     ``stream_results`` bounds worker memory the same way the IPv4
@@ -124,39 +67,10 @@ class DomainScanEngine:
     classification pipeline's streaming entry point.
     """
 
-    def __init__(self, scanner, shards=1, perf=None,
-                 heartbeat_timeout=None, stream_results=False,
-                 chunk_rows=65536, spill_dir=None):
-        if shards < 1:
-            raise ValueError("shard count must be >= 1")
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
-        self.scanner = scanner
-        self.shards = shards
-        self.perf = perf
-        self.heartbeat_timeout = heartbeat_timeout
-        self.stream_results = stream_results
-        self.chunk_rows = chunk_rows
-        self.spill_dir = spill_dir
-        # Provenance of the last sharded scan (one entry per work item).
-        self.provenance = []
-
-    @property
-    def can_fork(self):
-        return hasattr(os, "fork")
-
     def shard_ranges(self, total):
         """Split ``[0, total)`` resolver indexes into contiguous ranges
         (same balanced split as ``ScanTargetSpace.shard_ranges``)."""
-        size, remainder = divmod(total, self.shards)
-        ranges = []
-        start = 0
-        for shard in range(self.shards):
-            stop = start + size + (1 if shard < remainder else 0)
-            if stop > start:
-                ranges.append((start, stop))
-            start = stop
-        return ranges
+        return shard_ranges(total, self.shards)
 
     def scan(self, resolver_ips, domains, checkpoint=None, consume=None):
         """Query every domain at every resolver; returns the flat
@@ -172,123 +86,41 @@ class DomainScanEngine:
         observations delivered instead of a list, so the engine never
         accumulates the full observation set.
         """
-        start = time.perf_counter()
         resolver_ips = list(resolver_ips)
         domains = list(domains)
         ranges = self.shard_ranges(len(resolver_ips))
-        self.provenance = []
-        tracer = getattr(getattr(self.scanner, "network", None),
-                         "tracer", None)
-        if tracer is not None:
-            with tracer.span("domain_scan_engine",
-                             resolvers=len(resolver_ips),
-                             domains=len(domains), shards=len(ranges)):
-                observations = self._scan_inner(resolver_ips, domains,
-                                                ranges, checkpoint,
-                                                consume)
-        else:
-            observations = self._scan_inner(resolver_ips, domains,
-                                            ranges, checkpoint, consume)
-        if self.perf is not None:
-            self.perf.record_seconds("domain_scan_wall",
-                                     time.perf_counter() - start)
-            self.perf.count("domain_scans_run")
-        return observations
-
-    def _scan_inner(self, resolver_ips, domains, ranges, checkpoint,
-                    consume=None):
-        if len(ranges) <= 1 or not self.can_fork:
-            observations = self.scanner.scan(resolver_ips, domains)
-            if consume is None:
-                return observations
-            if observations:
-                consume(observations)
-            return len(observations)
-        return self._scan_forked(resolver_ips, domains, ranges,
-                                 checkpoint=checkpoint, consume=consume)
-
-    def _open_spill_store(self):
-        """The chunk spill store for a streamed scan, or ``(None, None)``
-        (see :meth:`ScanEngine._open_spill_store`)."""
-        if not self.stream_results or \
-                not getattr(self.scanner, "supports_chunks", False):
-            return None, None
-        if self.spill_dir is not None:
-            return SnapshotStore(self.spill_dir, self.perf), None
-        temp = tempfile.mkdtemp(prefix="domainscan-spill-")
-        return SnapshotStore(temp, self.perf), temp
-
-    def _scan_forked(self, resolver_ips, domains, ranges, checkpoint=None,
-                     consume=None):
         scanner = self.scanner
-        chunk_rows = self.chunk_rows
+        self.provenance = []
+        with self._measured("domain_", "domain_scan_engine",
+                            resolvers=len(resolver_ips),
+                            domains=len(domains), shards=len(ranges)):
+            if len(ranges) <= 1 or not self.can_fork:
+                observations = scanner.scan(resolver_ips, domains)
+                if consume is None:
+                    return observations
+                if observations:
+                    consume(observations)
+                return len(observations)
 
-        def run_range(index_range, on_progress, chunk_sink=None):
-            # Returns (observations, queries delta) so the parent can
-            # reconcile ``scanner.queries_sent`` for worker shards,
-            # whose increments die with the forked process.
-            before = scanner.queries_sent
-            kwargs = {"index_range": index_range}
-            if on_progress is not None:
-                kwargs["on_progress"] = on_progress
-            if chunk_sink is not None:
-                kwargs["chunk_sink"] = chunk_sink
-                kwargs["chunk_rows"] = chunk_rows
-            observations = scanner.scan(resolver_ips, domains, **kwargs)
-            return observations, scanner.queries_sent - before
+            def scan_range(**kwargs):
+                before = scanner.queries_sent
+                observations = scanner.scan(resolver_ips, domains, **kwargs)
+                queries = scanner.queries_sent - before
+                scanner.queries_sent = before
+                return observations, queries
 
-        live_ranges, live_origins, on_item_done, restored, \
-            restored_provenance = _plan_checkpointed_shards(
-                scanner.network, self.perf, ranges, checkpoint)
-        streamer = None
-        item_hook = on_item_done
-        if consume is not None:
-            streamer = _OrderedDelivery(ranges, consume, scanner)
-            for start, result in restored:
-                streamer.add_restored(start, result)
-            restored = []               # delivered; do not re-collect
+            collected = []
+            sink = consume or collected.extend
+            delivered = 0
 
-            def item_hook(item, payload, entry):
-                if on_item_done is not None:
-                    on_item_done(item, payload, entry)
-                streamer.add_item(item, payload["result"], entry["mode"])
-
-        spill_store, spill_temp = self._open_spill_store()
-        try:
-            supervisor = ShardSupervisor(
-                scanner.network, run_range, perf=self.perf,
-                heartbeat_timeout=self.heartbeat_timeout,
-                supports_progress=getattr(scanner, "supports_progress",
-                                          False),
-                perf_host=scanner, chunk_store=spill_store,
-                reassemble=_absorb_observation_chunks,
-                retain_results=consume is None)
-            shard_results, provenance = supervisor.run(
-                live_ranges, origins=live_origins,
-                on_item_done=item_hook)
-        finally:
-            if spill_temp is not None:
-                shutil.rmtree(spill_temp, ignore_errors=True)
-        all_provenance = restored_provenance + provenance
-        all_provenance.sort(key=lambda e: (e["start"], e["stop"],
-                                           e["attempt"]))
-        self.provenance = all_provenance
-        if streamer is not None:
-            return streamer.delivered
-        combined = [(start, result, "restored")
-                    for start, result in restored]
-        combined.extend(shard_results)
-        combined.sort(key=lambda entry: entry[0])
-        observations = []
-        for __, (shard_observations, queries), mode in combined:
-            observations.extend(shard_observations)
-            if mode != "in-process":
-                # In-process rescues already advanced the live counter;
-                # worker shards (and restored shards, whose run never
-                # happened in this process) reconcile here.
+            def deliver(result):
+                nonlocal delivered
+                observations, queries = result
                 scanner.queries_sent += queries
-        return observations
+                if observations:
+                    delivered += len(observations)
+                    sink(observations)
 
-    def __repr__(self):
-        return "DomainScanEngine(shards=%d, fork=%s)" % (
-            self.shards, self.can_fork)
+            self._run_sharded(ranges, scan_range, _absorb_observation_chunks,
+                              deliver, checkpoint)
+        return collected if consume is None else delivered

@@ -27,12 +27,16 @@ the exact bytes and fates of the first attempt, worker failure recovery
 is cheap and safe.  The fork/pipe/recovery machinery lives in
 :class:`ShardSupervisor`, which is scanner-agnostic: it drives any
 ``run_range((start, stop), on_progress)`` callable over contiguous
-index ranges, so the IPv4 scan (:class:`ScanEngine`) and the per-domain
-scan (:class:`repro.scanner.domainengine.DomainScanEngine`) share one
-supervision implementation.  The supervisor watches its workers over
-the result pipe — workers stream single-byte heartbeats while scanning
-and ship their result as one length-prefixed frame — and reacts to
-failures with escalating, narrow recovery:
+index ranges.  :meth:`ScanEngine._run_sharded` is the one sharded path
+on top of it — checkpointed shard planning, chunk spilling, supervision
+and in-order delivery of every shard result (:class:`_OrderedDelivery`)
+— and the per-domain scan
+(:class:`repro.scanner.domainengine.DomainScanEngine`) is a subclass
+that supplies only its per-range scan and delivery.  The IPv4 scan
+delivers shard results into a list and merges them.  The supervisor
+watches its workers over the result pipe — workers stream single-byte
+heartbeats while scanning and ship their result as one length-prefixed
+frame — and reacts to failures with escalating, narrow recovery:
 
 1. a worker that dies on its first attempt is retried once (fresh fork
    of the same shard);
@@ -71,6 +75,7 @@ import signal
 import tempfile
 import time
 from collections import deque
+from contextlib import contextmanager, nullcontext
 
 from repro.checkpoint.store import SnapshotStore
 from repro.perf import PerfRegistry, sample_ru_maxrss_kb
@@ -101,6 +106,20 @@ def _absorb_result_chunks(result, chunks):
     for chunk in chunks:
         result.absorb_chunk(chunk)
     return result
+
+
+def _changes(before, after):
+    """``{name: after - before}`` for every counter that moved."""
+    return {name: value - before.get(name, 0)
+            for name, value in after.items()
+            if value - before.get(name, 0)}
+
+
+def _span(tracer, name, **attributes):
+    """A trace span on ``tracer``, or a no-op context without one."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, **attributes)
 
 
 def _write_all(fd, data):
@@ -140,47 +159,6 @@ def _restore_shard_record(network, perf, payload, origin=None):
         perf.merge(shard_perf, rank=origin)
     for name, amount in (payload.get("perf_counters") or {}).items():
         perf.count(name, amount)
-
-
-def _plan_checkpointed_shards(network, perf, ranges, checkpoint):
-    """Split a sharded run into restored vs. still-to-run work.
-
-    Returns ``(live_ranges, live_origins, on_item_done, restored,
-    restored_provenance)``: committed shards come back as
-    ``(start, result)`` pairs with their side effects re-applied, and
-    ``on_item_done`` commits each newly completed shard — but only items
-    covering a *full* original range (a split half or narrowed rescue is
-    not independently restorable; its origin reruns whole on resume,
-    reproducing the identical escalation path from the same fault
-    draws).  After each commit the crash plane gets its shot at the
-    ``shard`` boundary.
-    """
-    if checkpoint is None:
-        return list(ranges), None, None, [], []
-    restored = []
-    restored_provenance = []
-    live_ranges = []
-    live_origins = []
-    for origin, (start, stop) in enumerate(ranges):
-        record = checkpoint.restore(("shard", origin, start, stop))
-        if record is not None:
-            payload = record["payload"]
-            _restore_shard_record(network, perf, payload, origin=origin)
-            restored.append((start, payload["result"]))
-            restored_provenance.extend(payload.get("provenance") or [])
-        else:
-            live_ranges.append((start, stop))
-            live_origins.append(origin)
-    full_ranges = {origin: tuple(ranges[origin]) for origin in live_origins}
-
-    def on_item_done(item, payload, entry):
-        start, stop, origin, __attempt = item
-        if (start, stop) == full_ranges[origin]:
-            checkpoint.commit(("shard", origin, start, stop), payload)
-        checkpoint.maybe_crash("shard", (origin,))
-
-    return live_ranges, live_origins, on_item_done, restored, \
-        restored_provenance
 
 
 class _Worker:
@@ -279,16 +257,13 @@ class ShardSupervisor:
     its spilled chunks (the retry re-emits them), and in-process rescues
     stay resident — they never stream.
 
-    ``retain_results=False`` drops each completed item's result after
-    the ``on_item_done`` hook has seen it (``shard_results`` carries
-    ``None`` placeholders): the mode for callers that consume results
-    incrementally through the hook and must not accumulate them.
+    The supervisor keeps no results: each completed item's result is
+    handed to the caller's ``on_item_done`` hook and dropped.
     """
 
     def __init__(self, network, run_range, perf=None,
                  heartbeat_timeout=None, supports_progress=False,
-                 perf_host=None, chunk_store=None, reassemble=None,
-                 retain_results=True):
+                 perf_host=None, chunk_store=None, reassemble=None):
         self.network = network
         self.run_range = run_range
         self.perf = perf
@@ -298,30 +273,26 @@ class ShardSupervisor:
         self.perf_host = perf_host
         self.chunk_store = chunk_store
         self.reassemble = reassemble
-        self.retain_results = retain_results
 
     def _count(self, name, amount=1):
         if self.perf is not None:
             self.perf.count(name, amount)
 
-    def run(self, ranges, origins=None, on_item_done=None):
-        """Supervise workers over ``ranges``; returns
-        ``(shard_results, provenance)``.
+    def run(self, ranges, on_item_done, origins=None):
+        """Supervise workers over ``ranges``; returns the provenance,
+        one entry per completed work item, in completion order.
 
-        ``shard_results`` is ``[(start, result, mode), ...]`` sorted by
-        range start (``mode`` is ``"worker"`` or ``"in-process"``), so
-        callers can concatenate or merge per-shard results in index
-        order and know which of them already mutated parent state.
-        ``provenance`` carries one sorted entry per completed work item.
+        ``on_item_done(item, payload, entry)`` fires after each completed
+        work item — ``item`` is ``(start, stop, origin, attempt)`` — with
+        a self-contained, picklable payload (``result`` + counter deltas
+        + perf), in completion order.  It is the only way results leave
+        the supervisor (checkpoint commit plus ordered delivery) and may
+        raise to abort the run — active workers are reaped first.
 
         ``origins`` optionally names each range's global shard index —
         a checkpointed resume runs only the not-yet-committed ranges but
         must keep their original indices so per-origin fault draws
         (``worker_dies``) and provenance stay identical to a full run.
-        ``on_item_done(item, payload, entry)`` fires after each completed
-        work item with a self-contained, picklable payload (result +
-        counter deltas + perf); it is the checkpoint commit hook and may
-        raise to abort the run — active workers are reaped first.
         """
         plan = getattr(self.network, "faults", None)
         heartbeat_timeout = self.heartbeat_timeout
@@ -330,7 +301,6 @@ class ShardSupervisor:
         pending = deque((start, stop, origin, 0)
                         for origin, (start, stop) in zip(origins, ranges))
         active = {}                     # read fd -> _Worker
-        shard_results = []              # (start, result, mode)
         provenance = []
         rescues = []                    # items for in-process fallback
         rescued_origins = set()
@@ -371,10 +341,9 @@ class ShardSupervisor:
                         if worker.chunk_keys:
                             shard["result"] = self._reassemble_result(
                                 shard["result"], worker.chunk_keys)
-                        self._on_success(worker.item, shard, shard_results,
-                                         provenance, counter_deltas,
-                                         fault_deltas, obs_items,
-                                         on_item_done)
+                        self._on_success(worker.item, shard, provenance,
+                                         counter_deltas, fault_deltas,
+                                         obs_items, on_item_done)
                 if heartbeat_timeout is not None:
                     for worker in list(active.values()):
                         if now - worker.last_beat > heartbeat_timeout:
@@ -393,8 +362,8 @@ class ShardSupervisor:
             # independent, so the late retry still produces exactly the
             # bytes and fates the worker would have.
             for start, stop, origin, attempt in sorted(rescues):
-                self._rescue((start, stop, origin, attempt),
-                             shard_results, provenance, on_item_done)
+                self._rescue((start, stop, origin, attempt), provenance,
+                             on_item_done)
         except BaseException:
             # Abort (an injected crash from the commit hook, ^C, ...):
             # reap every live worker so no zombies outlive the run.
@@ -421,11 +390,6 @@ class ShardSupervisor:
         if fault_counters is not None:
             for name, delta in fault_deltas.items():
                 fault_counters[name] = fault_counters.get(name, 0) + delta
-        shard_results.sort(key=lambda entry: entry[0])
-        # Completion order varies run to run; sorted provenance keeps
-        # same-seed runs bit-identical.
-        provenance.sort(key=lambda e: (e["start"], e["stop"],
-                                       e["attempt"]))
         if obs_items:
             tracer = getattr(network, "tracer", None)
             recorder = getattr(network, "recorder", None)
@@ -435,7 +399,7 @@ class ShardSupervisor:
                     tracer.absorb(spans)
                 if recorder is not None and flight:
                     recorder.absorb_state(flight)
-        return shard_results, provenance
+        return provenance
 
     def _spawn(self, item, plan):
         """Fork one worker for a work item; returns its parent-side state."""
@@ -541,12 +505,9 @@ class ShardSupervisor:
                 self._count("shard_failures")
             rescues.append(item)
 
-    def _on_success(self, item, shard, shard_results, provenance,
-                    counter_deltas, fault_deltas, obs_items,
-                    on_item_done=None):
+    def _on_success(self, item, shard, provenance, counter_deltas,
+                    fault_deltas, obs_items, on_item_done):
         start, stop, origin, attempt = item
-        shard_results.append((start, shard["result"]
-                              if self.retain_results else None, "worker"))
         status = ("ok" if attempt == 0
                   else "retried" if attempt == 1 else "split")
         entry = {"shard": origin, "start": start, "stop": stop,
@@ -565,19 +526,18 @@ class ShardSupervisor:
             self.perf.observe("shard_wall_seconds", shard["wall_seconds"])
             if shard["perf"] is not None:
                 self.perf.merge(shard["perf"], rank=origin)
-        if on_item_done is not None:
-            on_item_done(item, {
-                "result": shard["result"],
-                "net_counters": dict(shard["net_counters"]),
-                "fault_counters": dict(shard.get("fault_counters") or {}),
-                "perf": shard["perf"],
-                "wall_seconds": shard["wall_seconds"],
-                "spans": spans,
-                "flight": flight,
-                "provenance": [dict(entry)],
-            }, entry)
+        on_item_done(item, {
+            "result": shard["result"],
+            "net_counters": dict(shard["net_counters"]),
+            "fault_counters": dict(shard.get("fault_counters") or {}),
+            "perf": shard["perf"],
+            "wall_seconds": shard["wall_seconds"],
+            "spans": spans,
+            "flight": flight,
+            "provenance": [dict(entry)],
+        }, entry)
 
-    def _rescue(self, item, shard_results, provenance, on_item_done=None):
+    def _rescue(self, item, provenance, on_item_done):
         """Run one failed range in-process, with checkpoint bookkeeping.
 
         Unlike a worker, an in-process rescue mutates parent state
@@ -592,23 +552,15 @@ class ShardSupervisor:
                        if self.perf is not None else {})
         tracer = getattr(network, "tracer", None)
         spans_before = len(tracer.spans) if tracer is not None else 0
-        if tracer is not None:
-            # Rescues trace live into the parent's instruments (they
-            # mutate parent state directly, unlike worker shards).
-            with tracer.span("shard", origin=origin, attempt=attempt,
-                             start=start, stop=stop, mode="in-process"):
-                result = self.run_range((start, stop), None)
-        else:
+        # Rescues trace live into the parent's instruments (they mutate
+        # parent state directly, unlike worker shards).
+        with _span(tracer, "shard", origin=origin, attempt=attempt,
+                   start=start, stop=stop, mode="in-process"):
             result = self.run_range((start, stop), None)
-        shard_results.append((start, result
-                              if self.retain_results else None,
-                              "in-process"))
         entry = {"shard": origin, "start": start, "stop": stop,
                  "mode": "in-process", "attempt": attempt,
                  "status": "rescued"}
         provenance.append(entry)
-        if on_item_done is None:
-            return
         fault_after = getattr(network, "fault_counters", None) or {}
         perf_after = (dict(self.perf.counters)
                       if self.perf is not None else {})
@@ -616,14 +568,8 @@ class ShardSupervisor:
             "result": result,
             "net_counters": {name: getattr(network, name) - before[name]
                              for name in _NET_COUNTERS},
-            "fault_counters": {
-                name: value - fault_before.get(name, 0)
-                for name, value in fault_after.items()
-                if value - fault_before.get(name, 0)},
-            "perf_counters": {
-                name: value - perf_before.get(name, 0)
-                for name, value in perf_after.items()
-                if value - perf_before.get(name, 0)},
+            "fault_counters": _changes(fault_before, fault_after),
+            "perf_counters": _changes(perf_before, perf_after),
             "spans": (tracer.spans[spans_before:]
                       if tracer is not None else None),
             "provenance": [dict(entry)],
@@ -659,19 +605,12 @@ class ShardSupervisor:
         fault_before = dict(getattr(network, "fault_counters", None) or {})
         rss_before = sample_ru_maxrss_kb()
         shard_start = time.perf_counter()
-        if chunk_sink is not None:
-            def run():
-                return self.run_range(index_range, on_progress, chunk_sink)
-        else:
-            def run():
-                return self.run_range(index_range, on_progress)
-        if tracer is not None:
-            with tracer.span("shard", origin=origin, attempt=attempt,
-                             start=index_range[0], stop=index_range[1],
-                             mode="worker"):
-                result = run()
-        else:
-            result = run()
+        # Only a streaming run_range takes the third argument.
+        sink = (chunk_sink,) if chunk_sink is not None else ()
+        with _span(tracer, "shard", origin=origin, attempt=attempt,
+                   start=index_range[0], stop=index_range[1],
+                   mode="worker"):
+            result = self.run_range(index_range, on_progress, *sink)
         wall = time.perf_counter() - shard_start
         worker_perf = (getattr(host, "perf", None)
                        if host is not None else None)
@@ -695,15 +634,48 @@ class ShardSupervisor:
             "net_counters": {
                 name: getattr(network, name) - before[name]
                 for name in _NET_COUNTERS},
-            "fault_counters": {
-                name: value - fault_before.get(name, 0)
-                for name, value in fault_after.items()
-                if value - fault_before.get(name, 0)},
+            "fault_counters": _changes(fault_before, fault_after),
             "perf": host.perf if host is not None else None,
             "spans": tracer.spans if tracer is not None else None,
             "flight": (recorder.export_state()
                        if recorder is not None else None),
         }
+
+
+class _OrderedDelivery:
+    """Re-sequences out-of-order shard completions for ``deliver``.
+
+    Shards complete in arbitrary order (and a recovered shard may
+    complete as several split work items), but callers must see results
+    in exact range order.  Completed items are buffered per origin
+    shard; once an origin's items cover its whole range, and every
+    earlier origin has been delivered, its results go to ``deliver`` in
+    range order.  At most the out-of-order window is ever buffered — a
+    fully in-order run buffers nothing beyond the completing shard.
+    """
+
+    def __init__(self, ranges, deliver):
+        self.ranges = ranges
+        self.deliver = deliver
+        self.parts = {}           # origin -> [(start, result)]
+        self.covered = {}         # origin -> indexes covered so far
+        self.cursor = 0
+
+    def add(self, item, result):
+        """Buffer one completed ``(start, stop, origin, attempt)`` item,
+        then flush every origin that is now complete and next in line."""
+        start, stop, origin, __attempt = item
+        self.parts.setdefault(origin, []).append((start, result))
+        self.covered[origin] = self.covered.get(origin, 0) + (stop - start)
+        while self.cursor < len(self.ranges):
+            origin_start, origin_stop = self.ranges[self.cursor]
+            if self.covered.get(self.cursor) != origin_stop - origin_start:
+                break
+            parts = self.parts.pop(self.cursor)
+            parts.sort(key=lambda entry: entry[0])
+            for __, part in parts:
+                self.deliver(part)
+            self.cursor += 1
 
 
 class ScanEngine:
@@ -717,6 +689,10 @@ class ScanEngine:
     changes *where* rows live during the scan, never what they are.
     Requires a scanner advertising ``supports_chunks``; silently runs
     resident otherwise (and for in-process rescues).
+
+    :meth:`_run_sharded` is the one supervise-and-deliver path; the
+    domain scan engine subclasses this class and only supplies its own
+    per-range scan and delivery.
     """
 
     def __init__(self, scanner, shards=1, perf=None,
@@ -735,12 +711,30 @@ class ScanEngine:
         self.stream_results = stream_results
         self.chunk_rows = chunk_rows
         self.spill_dir = spill_dir
-        if perf is not None and scanner.perf is None:
+        # Provenance of the last sharded scan (one entry per work item).
+        self.provenance = []
+        # Host the registry on a scanner that has a ``perf`` slot (the
+        # domain scanner has none and records no scanner-side numbers).
+        if perf is not None and getattr(scanner, "perf", False) is None:
             scanner.perf = perf
 
     @property
     def can_fork(self):
         return hasattr(os, "fork")
+
+    @contextmanager
+    def _measured(self, prefix, span_name, **attributes):
+        """Trace span plus ``<prefix>scan_wall``/``<prefix>scans_run``
+        perf numbers around one scan (recorded only if it completes)."""
+        start = time.perf_counter()
+        tracer = getattr(getattr(self.scanner, "network", None),
+                         "tracer", None)
+        with _span(tracer, span_name, **attributes):
+            yield
+        if self.perf is not None:
+            self.perf.record_seconds(prefix + "scan_wall",
+                                     time.perf_counter() - start)
+            self.perf.count(prefix + "scans_run")
 
     def scan(self, target_space, checkpoint=None):
         """Scan the whole target space; returns one merged ScanResult.
@@ -751,34 +745,23 @@ class ScanEngine:
         single-process scan has no sub-scan units; its enclosing
         campaign week is the unit of durability.)
         """
-        start = time.perf_counter()
         network = self.scanner.network
         fault_before = dict(getattr(network, "fault_counters", None) or {})
         ranges = target_space.shard_ranges(self.shards)
-        tracer = getattr(network, "tracer", None)
-        if tracer is not None:
-            with tracer.span("scan", shards=len(ranges)):
-                if len(ranges) <= 1 or not self.can_fork:
-                    result = self.scanner.scan(target_space)
-                else:
-                    result = self._scan_forked(target_space, ranges,
-                                               checkpoint=checkpoint)
-        elif len(ranges) <= 1 or not self.can_fork:
-            result = self.scanner.scan(target_space)
-        else:
-            result = self._scan_forked(target_space, ranges,
-                                       checkpoint=checkpoint)
+        self.provenance = []
+        with self._measured("", "scan", shards=len(ranges)):
+            if len(ranges) <= 1 or not self.can_fork:
+                result = self.scanner.scan(target_space)
+            else:
+                result = self._scan_forked(target_space, ranges,
+                                           checkpoint=checkpoint)
         if self.perf is not None:
-            self.perf.record_seconds("scan_wall",
-                                     time.perf_counter() - start)
-            self.perf.count("scans_run")
             # Flush this scan's injected/absorbed fault deltas.
             fault_after = getattr(network, "fault_counters", None)
             if fault_after:
-                for name, value in fault_after.items():
-                    delta = value - fault_before.get(name, 0)
-                    if delta:
-                        self.perf.count("fault_" + name, delta)
+                for name, delta in _changes(fault_before,
+                                            fault_after).items():
+                    self.perf.count("fault_" + name, delta)
         return result
 
     # -- forked path -------------------------------------------------------
@@ -797,7 +780,29 @@ class ScanEngine:
         temp = tempfile.mkdtemp(prefix="scan-spill-")
         return SnapshotStore(temp, self.perf), temp
 
-    def _scan_forked(self, target_space, ranges, checkpoint=None):
+    def _run_sharded(self, ranges, scan_range, reassemble, deliver,
+                     checkpoint):
+        """Supervise ``ranges`` across forked workers; returns (and
+        keeps as ``self.provenance``) the sorted provenance.
+
+        ``scan_range(index_range=..., [on_progress=...,] [chunk_sink=...,
+        chunk_rows=...])`` scans one contiguous range and returns a
+        picklable shard result; ``reassemble(tail, chunks)`` folds a
+        streamed shard's spilled chunks back into it.  Every shard's
+        result — restored from ``checkpoint`` or freshly scanned, by a
+        worker or an in-process rescue — reaches ``deliver`` exactly
+        once, in range order.
+
+        ``checkpoint``, when given, is a :class:`repro.checkpoint` scope
+        that splits the run into restored and still-to-run work: a
+        committed shard has its side effects re-applied instead of being
+        re-scanned, and each newly completed item is committed — but
+        only items covering a *full* original range (a split half or
+        narrowed rescue is not independently restorable; its origin
+        reruns whole on resume, reproducing the identical escalation
+        path from the same fault draws).  After each commit the crash
+        plane gets its shot at the ``shard`` boundary.
+        """
         scanner = self.scanner
         chunk_rows = self.chunk_rows
 
@@ -808,17 +813,38 @@ class ScanEngine:
             if chunk_sink is not None:
                 kwargs["chunk_sink"] = chunk_sink
                 kwargs["chunk_rows"] = chunk_rows
-            return scanner.scan(target_space, **kwargs)
+            return scan_range(**kwargs)
 
-        prewarm = getattr(scanner, "prewarm", None)
-        if prewarm is not None:
-            # Build the memoised target columns and LFSR walk *before*
-            # forking so every worker inherits them copy-on-write
-            # instead of paying an O(targets) build per process.
-            prewarm(target_space)
-        live_ranges, live_origins, on_item_done, restored, \
-            restored_provenance = _plan_checkpointed_shards(
-                scanner.network, self.perf, ranges, checkpoint)
+        restored = []
+        provenance = []
+        live_ranges = []
+        live_origins = []
+        for origin, (start, stop) in enumerate(ranges):
+            record = (checkpoint.restore(("shard", origin, start, stop))
+                      if checkpoint is not None else None)
+            if record is None:
+                live_ranges.append((start, stop))
+                live_origins.append(origin)
+                continue
+            payload = record["payload"]
+            _restore_shard_record(scanner.network, self.perf, payload,
+                                  origin=origin)
+            restored.append(((start, stop, origin, None),
+                             payload["result"]))
+            provenance.extend(payload.get("provenance") or [])
+        delivery = _OrderedDelivery(ranges, deliver)
+        for item, result in restored:
+            delivery.add(item, result)
+
+        def on_item_done(item, payload, entry):
+            start, stop, origin, __attempt = item
+            if checkpoint is not None:
+                if (start, stop) == ranges[origin]:
+                    checkpoint.commit(("shard", origin, start, stop),
+                                      payload)
+                checkpoint.maybe_crash("shard", (origin,))
+            delivery.add(item, payload["result"])
+
         spill_store, spill_temp = self._open_spill_store()
         try:
             supervisor = ShardSupervisor(
@@ -827,25 +853,38 @@ class ScanEngine:
                 supports_progress=getattr(scanner, "supports_progress",
                                           False),
                 perf_host=scanner, chunk_store=spill_store,
-                reassemble=_absorb_result_chunks)
-            shard_results, provenance = supervisor.run(
-                live_ranges, origins=live_origins,
-                on_item_done=on_item_done)
+                reassemble=reassemble)
+            provenance += supervisor.run(live_ranges, on_item_done,
+                                         origins=live_origins)
         finally:
             if spill_temp is not None:
                 shutil.rmtree(spill_temp, ignore_errors=True)
-        combined = restored + [(start, result)
-                               for start, result, __mode in shard_results]
-        combined.sort(key=lambda entry: entry[0])
-        merged = merge_scan_results(
-            scanner.network.clock.now,
-            [result for __, result in combined])
-        all_provenance = restored_provenance + provenance
-        all_provenance.sort(key=lambda e: (e["start"], e["stop"],
-                                           e["attempt"]))
-        merged.provenance = all_provenance
+        # Completion order varies run to run; sorted provenance keeps
+        # same-seed runs bit-identical.
+        provenance.sort(key=lambda e: (e["start"], e["stop"], e["attempt"]))
+        self.provenance = provenance
+        return provenance
+
+    def _scan_forked(self, target_space, ranges, checkpoint=None):
+        scanner = self.scanner
+        prewarm = getattr(scanner, "prewarm", None)
+        if prewarm is not None:
+            # Build the memoised target columns and LFSR walk *before*
+            # forking so every worker inherits them copy-on-write
+            # instead of paying an O(targets) build per process.
+            prewarm(target_space)
+
+        def scan_range(**kwargs):
+            return scanner.scan(target_space, **kwargs)
+
+        parts = []
+        provenance = self._run_sharded(ranges, scan_range,
+                                       _absorb_result_chunks, parts.append,
+                                       checkpoint)
+        merged = merge_scan_results(scanner.network.clock.now, parts)
+        merged.provenance = provenance
         return merged
 
     def __repr__(self):
-        return "ScanEngine(shards=%d, fork=%s)" % (
-            self.shards, self.can_fork)
+        return "%s(shards=%d, fork=%s)" % (
+            type(self).__name__, self.shards, self.can_fork)

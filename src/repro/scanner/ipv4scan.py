@@ -60,6 +60,7 @@ from repro.scanner.pacing import (
     defense_plane,
     normalize_pacing,
 )
+from repro.util import shard_ranges
 
 _M64 = (1 << 64) - 1
 # A timed attempt never waits less than this multiple of the target's
@@ -130,17 +131,7 @@ class ScanTargetSpace:
         contiguous in address space while the shared LFSR walk still
         interleaves probe *order* pseudo-randomly within each shard.
         """
-        if shards < 1:
-            raise ValueError("shard count must be >= 1")
-        size, remainder = divmod(self.total, shards)
-        ranges = []
-        start = 0
-        for shard in range(shards):
-            stop = start + size + (1 if shard < remainder else 0)
-            if stop > start:
-                ranges.append((start, stop))
-            start = stop
-        return ranges
+        return shard_ranges(self.total, shards)
 
     def __len__(self):
         return self.total

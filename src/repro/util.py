@@ -63,3 +63,23 @@ def apportion(total, weights, minimums=None):
         counts = [max(minimum, count)
                   for minimum, count in zip(minimums, counts)]
     return counts
+
+
+def shard_ranges(total, shards):
+    """Split ``[0, total)`` into ``shards`` contiguous, balanced ranges.
+
+    Every index lands in exactly one range, the first ``total % shards``
+    ranges one index longer than the rest; empty trailing ranges are
+    dropped (fewer indexes than shards yields fewer ranges).
+    """
+    if shards < 1:
+        raise ValueError("shard count must be >= 1")
+    size, remainder = divmod(total, shards)
+    ranges = []
+    start = 0
+    for shard in range(shards):
+        stop = start + size + (1 if shard < remainder else 0)
+        if stop > start:
+            ranges.append((start, stop))
+        start = stop
+    return ranges

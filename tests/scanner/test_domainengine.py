@@ -44,9 +44,14 @@ class FakeNetwork:
 
 
 class FakeDomainScanner:
-    """Deterministic double: answers for every even resolver index."""
+    """Deterministic double: answers for every even resolver index.
+
+    Like the real scanner it can flush observation chunks mid-scan (at
+    resolver boundaries), so the engine's streamed path is reachable.
+    """
 
     supports_progress = True
+    supports_chunks = True
 
     def __init__(self):
         self.network = FakeNetwork()
@@ -55,7 +60,7 @@ class FakeDomainScanner:
         self.scan_calls = []          # (start, stop) of every scan issued
 
     def scan(self, resolver_ips, domains, index_range=None,
-             on_progress=None):
+             on_progress=None, chunk_sink=None, chunk_rows=65536):
         resolver_ips = list(resolver_ips)
         start, stop = (index_range if index_range is not None
                        else (0, len(resolver_ips)))
@@ -71,6 +76,9 @@ class FakeDomainScanner:
                         ["198.18.0.%d" % resolver_id]))
             if on_progress is not None:
                 on_progress()
+            if chunk_sink is not None and len(observations) >= chunk_rows:
+                chunk_sink(observations)
+                observations = []
         return observations
 
 
@@ -178,6 +186,97 @@ class TestDeathRecovery:
         # the parent, never the full resolver list.
         full = (0, len(RESOLVERS))
         assert scanner.scan_calls and full not in scanner.scan_calls
+
+
+# kill_shards plan -> sorted provenance statuses of a 3-shard scan of
+# RESOLVERS (shard 1 is the 3-resolver range (4, 7), shard 0 is (0, 4)).
+KILL_PLANS = [
+    ({}, ["ok", "ok", "ok"]),
+    ({1: 1}, ["ok", "ok", "retried"]),
+    ({1: 2}, ["ok", "ok", "split", "split"]),
+    ({0: 99}, ["ok", "ok", "rescued", "rescued"]),
+]
+
+
+class RecordingScope:
+    """A dict-backed checkpoint scope: commits are kept in memory and
+    restored verbatim; no crash points fire."""
+
+    def __init__(self, committed=None):
+        self.committed = dict(committed or {})
+
+    def restore(self, key):
+        payload = self.committed.get(tuple(key))
+        return None if payload is None else {"payload": payload}
+
+    def commit(self, key, payload, state=None):
+        self.committed[tuple(key)] = payload
+
+    def maybe_crash(self, kind, key):
+        pass
+
+
+class TestDeliveryMatrix:
+    """Every way a sharded domain scan can hand back observations —
+    resident list or ``consume`` batches, resident or streamed shard
+    frames, clean or recovered workers — yields the sequential scan."""
+
+    @pytest.mark.parametrize("use_consume", [False, True],
+                             ids=["resident", "consume"])
+    @pytest.mark.parametrize("stream_results", [False, True],
+                             ids=["frames", "streamed"])
+    @pytest.mark.parametrize("kill_shards,statuses", KILL_PLANS,
+                             ids=["clean", "retry", "split", "rescue"])
+    def test_matches_sequential(self, kill_shards, statuses,
+                                stream_results, use_consume):
+        sequential_scanner = FakeDomainScanner()
+        sequential = sequential_scanner.scan(RESOLVERS, DOMAINS)
+        scanner = FakeDomainScanner()
+        if kill_shards:
+            scanner.network.install_faults(
+                FaultPlan(FaultProfile(kill_shards=kill_shards), seed=1))
+        engine = DomainScanEngine(scanner, shards=3,
+                                  stream_results=stream_results,
+                                  chunk_rows=1)
+        if use_consume:
+            batches = []
+            delivered = engine.scan(RESOLVERS, DOMAINS,
+                                    consume=batches.extend)
+            observations = batches
+            assert delivered == len(sequential)
+        else:
+            observations = engine.scan(RESOLVERS, DOMAINS)
+        assert fingerprint(observations) == fingerprint(sequential)
+        assert scanner.queries_sent == sequential_scanner.queries_sent
+        assert sorted(e["status"] for e in engine.provenance) == statuses
+
+    def test_restored_shard_delivered_in_order(self):
+        sequential_scanner = FakeDomainScanner()
+        sequential = sequential_scanner.scan(RESOLVERS, DOMAINS)
+        first = RecordingScope()
+        DomainScanEngine(FakeDomainScanner(), shards=3).scan(
+            RESOLVERS, DOMAINS, checkpoint=first)
+        middle = ("shard", 1, 4, 7)
+        assert middle in first.committed
+        # Resume with only the middle shard committed: it is restored,
+        # the outer two rerun in workers, and the consumer still sees
+        # every observation once, in resolver order.
+        resumed = RecordingScope({middle: first.committed[middle]})
+        scanner = FakeDomainScanner()
+        engine = DomainScanEngine(scanner, shards=3)
+        batches = []
+        delivered = engine.scan(RESOLVERS, DOMAINS, checkpoint=resumed,
+                                consume=batches.append)
+        assert delivered == len(sequential)
+        flat = [o for batch in batches for o in batch]
+        assert fingerprint(flat) == fingerprint(sequential)
+        assert [batch[0].resolver_ip for batch in batches] \
+            == ["10.0.0.0", "10.0.0.4", "10.0.0.8"]
+        # The restored shard's queries come from its payload; the live
+        # shards' from their workers; none ran in the parent.
+        assert scanner.queries_sent == sequential_scanner.queries_sent
+        assert scanner.scan_calls == []
+        assert set(resumed.committed) == set(first.committed)
 
 
 @pytest.fixture(scope="module")

@@ -186,6 +186,12 @@ class TestCommands:
         assert main(["classify", "--set", "Dating",
                      "--pipeline-shards", "2"] + SMALL) == 0
         assert capsys.readouterr().out == sequential
+        # Streamed observations: the pipeline consumes domain-scan
+        # batches in resolver order instead of one resident list.
+        assert main(["classify", "--set", "Dating",
+                     "--pipeline-shards", "3", "--shards", "2",
+                     "--stream-results"] + SMALL) == 0
+        assert capsys.readouterr().out == sequential
 
     def test_audit_falls_back_to_real_resolver(self, capsys):
         assert main(["audit", "203.0.113.7"] + SMALL) == 0
